@@ -30,7 +30,11 @@ All backends share the exact same semantics:
 * **structured failures** — a worker exception is captured worker-side
   (type, message, formatted traceback) and re-raised in the parent as
   :class:`~repro.exceptions.SweepError` carrying the failing task's
-  parameter point, never as a bare pickled traceback.
+  parameter point, never as a bare pickled traceback;
+* **fail fast** — a chunk stops at its first failing task and no later
+  chunk is dispatched (pool backends cancel the chunks that have not
+  started), so the lowest-index failure is raised without running the
+  rest of the sweep.
 
 Because every backend runs the same per-task code on the same inputs in
 the same order, a sweep produces **bitwise-identical** results under any
@@ -86,9 +90,9 @@ def _run_chunk(fn: Callable[[object], object],
     """Run one chunk of tasks, capturing per-task failures structurally.
 
     Runs inside the worker (thread, process, or the caller for the
-    serial backend).  Never raises: the return value is
-    ``(worker_tag, busy_seconds, outcomes)`` where every outcome is
-    either ``("ok", value, seconds)`` or
+    serial backend).  Never raises and stops at the first failing task:
+    the return value is ``(worker_tag, busy_seconds, outcomes)`` where
+    every outcome is either ``("ok", value, seconds)`` or — last —
     ``("err", type_name, message, traceback, seconds)`` so process
     workers ship failures back as plain strings instead of pickled
     exception objects, and per-task wall times travel structurally
@@ -106,7 +110,34 @@ def _run_chunk(fn: Callable[[object], object],
             outcomes.append((_ERR, type(exc).__name__, str(exc),
                              traceback.format_exc(),
                              time.perf_counter() - task_start))
+            break
     return _worker_tag(), time.perf_counter() - chunk_start, outcomes
+
+
+def _failed(chunk_result: tuple[str, float, list[tuple]]) -> bool:
+    """Whether a chunk stopped on a failing task (always its last)."""
+    outcomes = chunk_result[2]
+    return bool(outcomes) and outcomes[-1][0] == _ERR
+
+
+def _gather(pool, futures: list, on_chunk,
+            result: Callable = lambda _index, future: future.result(),
+            ) -> list[tuple[str, float, list[tuple]]]:
+    """Collect pool chunk results in order, up to the first failure.
+
+    On a failing chunk, the chunks that have not started are cancelled;
+    any already running are left to finish when the pool shuts down.
+    """
+    chunk_results = []
+    for chunk_index, future in enumerate(futures):
+        chunk_result = result(chunk_index, future)
+        if on_chunk is not None:
+            on_chunk(chunk_index, chunk_result)
+        chunk_results.append(chunk_result)
+        if _failed(chunk_result):
+            pool.shutdown(wait=False, cancel_futures=True)
+            break
+    return chunk_results
 
 
 def _make_chunks(n_tasks: int, n_chunks: int) -> list[range]:
@@ -232,8 +263,10 @@ class ParallelExecutor(ABC):
                  chunks: list[list[object]],
                  on_chunk: Callable[[int, tuple], None] | None = None,
                  ) -> list[tuple[str, float, list[tuple]]]:
-        """Run every chunk, returning chunk results aligned with ``chunks``.
+        """Run the chunks in order up to the first that fails.
 
+        Returns the chunk results aligned with a prefix of ``chunks``;
+        when a chunk fails, it is the last one returned.
         ``on_chunk(chunk_index, chunk_result)`` — when given — must be
         invoked in the parent, in submission order, as results arrive.
         """
@@ -254,6 +287,8 @@ class SerialExecutor(ParallelExecutor):
             if on_chunk is not None:
                 on_chunk(chunk_index, result)
             chunk_results.append(result)
+            if _failed(result):
+                break
         return chunk_results
 
 
@@ -265,13 +300,7 @@ class ThreadExecutor(ParallelExecutor):
     def _execute(self, fn, chunks, on_chunk=None):
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
-            chunk_results = []
-            for chunk_index, future in enumerate(futures):
-                result = future.result()
-                if on_chunk is not None:
-                    on_chunk(chunk_index, result)
-                chunk_results.append(result)
-            return chunk_results
+            return _gather(pool, futures, on_chunk)
 
 
 class ProcessExecutor(ParallelExecutor):
@@ -290,30 +319,28 @@ class ProcessExecutor(ParallelExecutor):
             ) from None
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
-            chunk_results = []
-            for chunk_index, future in enumerate(futures):
-                try:
-                    result = future.result()
-                except SweepError:
-                    raise
-                except BaseException as exc:
-                    # Pool-level failure (unpicklable task payload, dead
-                    # worker, ...) — still surface it structurally.
-                    hint = ""
-                    if "pickle" in f"{type(exc).__name__} {exc}".lower():
-                        hint = (" — the process backend requires picklable "
-                                "task payloads (module-level callables, no "
-                                "lambdas/closures); use the thread or "
-                                "serial backend otherwise")
-                    raise SweepError(
-                        f"process pool failed on chunk {chunk_index}: "
-                        f"{type(exc).__name__}: {exc}{hint}",
-                        error_type=type(exc).__name__,
-                    ) from None
-                if on_chunk is not None:
-                    on_chunk(chunk_index, result)
-                chunk_results.append(result)
-            return chunk_results
+            return _gather(pool, futures, on_chunk, _process_result)
+
+
+def _process_result(chunk_index: int, future) -> tuple:
+    """A process chunk's result; pool-level failures (unpicklable task
+    payload, dead worker, ...) still surface structurally."""
+    try:
+        return future.result()
+    except SweepError:
+        raise
+    except BaseException as exc:
+        hint = ""
+        if "pickle" in f"{type(exc).__name__} {exc}".lower():
+            hint = (" — the process backend requires picklable "
+                    "task payloads (module-level callables, no "
+                    "lambdas/closures); use the thread or "
+                    "serial backend otherwise")
+        raise SweepError(
+            f"process pool failed on chunk {chunk_index}: "
+            f"{type(exc).__name__}: {exc}{hint}",
+            error_type=type(exc).__name__,
+        ) from None
 
 
 class VectorizedExecutor(ParallelExecutor):

@@ -16,9 +16,14 @@ batch; then the whole window dispatches at once —
    the scalar path — as does any group of size 1, which keeps a lone
    request bitwise identical to calling the model directly.
 
-Failures propagate: if a group's integration raises, every waiter in
-that group re-raises the original exception; other groups in the window
-are unaffected.
+Each result is encoded to its JSON bytes
+(:func:`~repro.serve.cache.encode_result`) once, here, before any waiter
+wakes: the owner, its coalesced followers and every later cache hit
+serve those same bytes.
+
+Failures propagate: if a group's integration (or encoding) raises,
+every waiter in that group re-raises the original exception; other
+groups in the window are unaffected.
 
 The dispatcher is one daemon thread; waiters block on per-request
 events (:class:`PendingResult`), so the batcher adds no threads per
@@ -34,6 +39,7 @@ import time
 from typing import Callable, Sequence
 
 from repro.obs.trace import current_trace_ids, get_observer, tracing
+from repro.serve.cache import encode_result
 from repro.serve.spec import (
     ScenarioSpec,
     execute_scenario,
@@ -50,9 +56,9 @@ class PendingResult:
     """One submitted spec's future result.
 
     Waiters block on :meth:`wait`; the dispatcher completes the pending
-    with :meth:`resolve` (carrying whether the result came from a
-    stacked integration) or :meth:`fail` (the waiter re-raises the
-    original exception).
+    with :meth:`resolve` (carrying the result's JSON bytes as
+    :attr:`body` and whether it came from a stacked integration) or
+    :meth:`fail` (the waiter re-raises the original exception).
     """
 
     def __init__(self, spec: ScenarioSpec) -> None:
@@ -65,12 +71,14 @@ class PendingResult:
         self.trace_ids = current_trace_ids()
         self._done = threading.Event()
         self._result: dict[str, object] | None = None
+        self.body: bytes | None = None
         self._error: BaseException | None = None
 
-    def resolve(self, result: dict[str, object], *,
+    def resolve(self, result: dict[str, object], body: bytes, *,
                 stacked: bool = False) -> None:
-        """Complete successfully; wakes every waiter."""
+        """Complete with the result and its encoding; wakes every waiter."""
         self._result = result
+        self.body = body
         self.stacked = stacked
         self._done.set()
 
@@ -228,16 +236,16 @@ class MicroBatcher:
                     observer.metrics.observe("serve.batch.size", len(group))
                 else:
                     results = self._run_group(group, stacked)
+                bodies = [encode_result(result) for result in results]
             except BaseException as error:  # propagate to every waiter
                 for owner in group:
                     owner.fail(error)
                     for follower in followers[owner.spec_hash]:
                         follower.fail(error)
                 continue
-            for owner, result in zip(group, results):
-                owner.resolve(result, stacked=stacked)
-                for follower in followers[owner.spec_hash]:
-                    follower.resolve(result, stacked=stacked)
+            for owner, result, body in zip(group, results, bodies):
+                for pending in (owner, *followers[owner.spec_hash]):
+                    pending.resolve(result, body, stacked=stacked)
 
     def _run_group(self, group: list[PendingResult],
                    stacked: bool) -> list[dict[str, object]]:

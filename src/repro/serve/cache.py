@@ -8,11 +8,15 @@ key does not encode the solver implementation, so cached blobs must be
 discarded when the numerics change (the on-disk directory is safe to
 delete wholesale at any time).
 
-Two tiers:
+Each entry is the result's JSON encoding (:func:`encode_result`), made
+once when the result completes.  The HTTP front end splices those bytes
+into its answers as they are, so a cache hit encodes nothing; library
+callers of :meth:`ResultCache.get` still receive a dict, decoded on
+demand.  Two tiers:
 
 * an in-memory LRU (``OrderedDict`` behind a lock) bounded by
   ``max_entries``;
-* an optional on-disk tier (``disk_dir``) storing each result as
+* an optional on-disk tier (``disk_dir``) storing the same bytes as
   ``<hash>.json``.  Disk blobs survive restarts and LRU eviction;
   reads re-populate the memory tier.  Floats round-trip JSON exactly
   (shortest repr), so a disk hit returns the same numbers as the run
@@ -32,10 +36,16 @@ import json
 import threading
 from collections import OrderedDict
 from pathlib import Path
+from typing import Mapping
 
 from repro.obs.trace import get_observer
 
-__all__ = ["ResultCache"]
+__all__ = ["ResultCache", "encode_result"]
+
+
+def encode_result(result: Mapping[str, object]) -> bytes:
+    """The JSON bytes a result is cached, stored on disk and served as."""
+    return json.dumps(result).encode("utf-8")
 
 
 class ResultCache:
@@ -58,7 +68,7 @@ class ResultCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self._entries: OrderedDict[str, dict[str, object]] = OrderedDict()
+        self._entries: OrderedDict[str, bytes] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -66,36 +76,47 @@ class ResultCache:
         self._disk_errors = 0
 
     # -- storage -----------------------------------------------------------
-    def get(self, key: str) -> dict[str, object] | None:
-        """The cached result for ``key``, or ``None``.
+    def get(self, key: str, *,
+            encoded: bool = False) -> dict[str, object] | bytes | None:
+        """The cached result for ``key`` as a dict, or ``None``.
 
+        ``encoded=True`` returns the stored JSON bytes instead, which
+        is how the service answers a hit without decoding or encoding.
         A memory hit is promoted to most-recently-used; a disk hit is
         loaded back into the memory tier.  No hit/miss accounting
         happens here — the service layer owns that (see module
         docstring).
         """
         with self._lock:
-            result = self._entries.get(key)
-            if result is not None:
+            body = self._entries.get(key)
+            if body is not None:
                 self._entries.move_to_end(key)
-                return result
-        result = self._read_disk(key)
-        if result is not None:
-            self.put(key, result)
-        return result
+        if body is None:
+            body = self._read_disk(key)
+            if body is None:
+                return None
+            self._remember(key, body)
+        return body if encoded else json.loads(body)
 
-    def put(self, key: str, result: dict[str, object]) -> None:
-        """Store a result under its content address (idempotent)."""
+    def put(self, key: str,
+            result: Mapping[str, object] | bytes) -> None:
+        """Store a result, or its :func:`encode_result` bytes, under its
+        content address (idempotent)."""
+        body = result if isinstance(result, bytes) else encode_result(result)
+        if self._remember(key, body):
+            self._write_disk(key, body)
+
+    def _remember(self, key: str, body: bytes) -> bool:
+        """Put ``body`` in the memory tier; whether ``key`` was new."""
         with self._lock:
-            already_present = key in self._entries
-            self._entries[key] = result
+            new = key not in self._entries
+            self._entries[key] = body
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self._evictions += 1
                 self._inc("serve.cache.evictions")
-        if not already_present:
-            self._write_disk(key, result)
+        return new
 
     def __len__(self) -> int:
         with self._lock:
@@ -168,13 +189,14 @@ class ResultCache:
         path = self.disk_dir / f"{key}.json"
         return path if path.is_file() else None
 
-    def _read_disk(self, key: str) -> dict[str, object] | None:
+    def _read_disk(self, key: str) -> bytes | None:
         path = self._disk_path(key)
         if path is None:
             return None
         try:
-            result = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            body = path.read_bytes()
+            json.loads(body)
+        except (OSError, ValueError) as exc:
             # A torn blob is just a miss (it will be recomputed and
             # rewritten), but it is also a cache-integrity signal the
             # health watchdog should see: a stream of them points at a
@@ -190,16 +212,16 @@ class ResultCache:
         observer = get_observer()
         if observer is not None:
             observer.health.check_cache_blob(True, path=str(path))
-        return result
+        return body
 
-    def _write_disk(self, key: str, result: dict[str, object]) -> None:
+    def _write_disk(self, key: str, body: bytes) -> None:
         if self.disk_dir is None:
             return
         self.disk_dir.mkdir(parents=True, exist_ok=True)
         path = self.disk_dir / f"{key}.json"
         tmp = path.with_suffix(".json.tmp")
         try:
-            tmp.write_text(json.dumps(result))
+            tmp.write_bytes(body)
             tmp.replace(path)  # atomic on POSIX: readers never see a torn blob
         except OSError:
             tmp.unlink(missing_ok=True)

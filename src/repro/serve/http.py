@@ -26,6 +26,12 @@ Each request handler thread pushes queries through the shared
 :class:`~repro.serve.service.ScenarioService`, so concurrent client
 requests coalesce and stack exactly like library callers.
 
+Every response leaves in one write (status line, headers and body), so
+a keep-alive client never waits out its delayed ACK for a body held
+back by Nagle.  Scenario answers splice the result's JSON bytes,
+encoded once when the integration completed, into a small envelope:
+a cache hit encodes nothing but the envelope.
+
 Trace correlation: a client may send ``X-Trace-Id`` (1–64 chars of
 ``[A-Za-z0-9_.-]``; anything else is a 400) on ``POST /scenario``;
 absent, one is generated.  The id is echoed in the response header and
@@ -198,14 +204,13 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
             self._respond_json(500, {"error": str(error),
                                      "trace_id": self._trace_id})
             return
-        self._respond_json(200, {
+        self._respond_result(200, {
             "spec_hash": response.spec_hash,
             "trace_id": self._trace_id,
             "cache": response.cache,
             "stacked": response.stacked,
             "seconds": response.seconds,
-            "result": response.result,
-        })
+        }, response.body)
 
     def _submit_async(self, spec: ScenarioSpec) -> None:
         """202 + poll path; a worker thread owns the actual query."""
@@ -238,10 +243,10 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
                          f"({_HASH_LEN} lowercase hex digits)"})
             return
         service = self.server.service
-        result = service.cache.get(spec_hash)
-        if result is not None:
-            self._respond_json(200, {"spec_hash": spec_hash,
-                                     "cache": "hit", "result": result})
+        body = service.cache.get(spec_hash, encoded=True)
+        if body is not None:
+            self._respond_result(200, {"spec_hash": spec_hash,
+                                       "cache": "hit"}, body)
         elif service.pending(spec_hash) is not None:
             self._respond_json(202, {"spec_hash": spec_hash,
                                      "status": "pending"})
@@ -256,20 +261,39 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
         self._respond_bytes(status, json.dumps(payload).encode("utf-8"),
                             "application/json")
 
+    def _respond_result(self, status: int, fields: dict[str, object],
+                        result: bytes) -> None:
+        """Answer ``fields`` plus a ``"result"`` member, spliced in as
+        the JSON bytes the result was encoded to once, on completion."""
+        head = json.dumps(fields).encode("utf-8")
+        self._respond_bytes(status, head[:-1] + b', "result": ' + result
+                            + b"}", "application/json")
+
     def _respond_text(self, status: int, text: str) -> None:
         self._respond_bytes(status, text.encode("utf-8"),
                             "text/plain; charset=utf-8")
 
     def _respond_bytes(self, status: int, body: bytes,
                        content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        """Send status line, headers and body in one write.
+
+        ``end_headers()`` would send the headers on their own; the body
+        written after them is then a second small segment, which Nagle
+        holds on a keep-alive connection until the client's delayed ACK
+        arrives, about 40 ms later.
+        """
+        self.log_request(status)
+        lines = [f"{self.protocol_version} {status} "
+                 f"{self.responses[status][0]}",
+                 f"Server: {self.version_string()}",
+                 f"Date: {self.date_time_string()}",
+                 f"Content-Type: {content_type}",
+                 f"Content-Length: {len(body)}"]
         trace_id = getattr(self, "_trace_id", None)
         if trace_id:
-            self.send_header("X-Trace-Id", trace_id)
-        self.end_headers()
-        self.wfile.write(body)
+            lines.append(f"X-Trace-Id: {trace_id}")
+        head = "\r\n".join(lines) + "\r\n\r\n"
+        self.wfile.write(head.encode("latin-1") + body)
 
     def log_message(self, format: str, *args: object) -> None:
         """Route access logs into the manifest instead of stderr."""

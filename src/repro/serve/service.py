@@ -11,8 +11,12 @@ Per query, under one lock:
    hit: the request costs no integration);
 3. **miss** — the query is submitted to the
    :class:`~repro.serve.batcher.MicroBatcher` and registered as the
-   hash's owner; on completion the owner stores the result and clears
-   the in-flight entry.
+   hash's owner; on completion the owner stores the result's encoding
+   and clears the in-flight entry.
+
+Every response carries the result's JSON bytes, encoded once when the
+integration completed; its ``result`` dict is decoded from them only
+when a library caller reads it.
 
 So N identical concurrent queries cost exactly one integration: one
 owner (miss), N−1 coalesced waiters (hits) — the property the
@@ -28,9 +32,11 @@ scalar path as calling the model directly.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.obs.slo import SLOTracker
@@ -51,8 +57,10 @@ class ScenarioResponse:
     ----------
     spec_hash:
         Content address of the question.
-    result:
-        The JSON-ready result payload (see ``docs/SERVICE.md``).
+    body:
+        The result's JSON bytes (see ``docs/SERVICE.md``), encoded once
+        when the integration completed; the HTTP front end sends them
+        as they are.
     cache:
         ``"hit"`` (completed cache), ``"coalesced"`` (joined an
         in-flight integration) or ``"miss"`` (owned a fresh one).
@@ -63,10 +71,16 @@ class ScenarioResponse:
     """
 
     spec_hash: str
-    result: dict[str, object]
+    body: bytes
     cache: str
     stacked: bool
     seconds: float
+
+    @cached_property
+    def result(self) -> dict[str, object]:
+        """The JSON-ready result payload, decoded from :attr:`body` on
+        first use (floats round-trip exactly)."""
+        return json.loads(self.body)
 
 
 class ScenarioService:
@@ -128,7 +142,7 @@ class ScenarioService:
                 raise RuntimeError("service is closed")
             for spec in specs:
                 key = spec.spec_hash()
-                cached = self.cache.get(key)
+                cached = self.cache.get(key, encoded=True)
                 if cached is not None:
                     self.cache.record_hit()
                     staged.append((key, "hit", cached))
@@ -151,7 +165,7 @@ class ScenarioService:
                 continue
             pending = payload
             try:
-                result = pending.wait(timeout)
+                pending.wait(timeout)
             except BaseException as error:
                 if status == "miss":
                     with self._lock:
@@ -164,10 +178,10 @@ class ScenarioService:
                     first_error = error
                 continue
             if status == "miss":
-                self.cache.put(key, result)
+                self.cache.put(key, pending.body)
                 with self._lock:
                     self._inflight.pop(key, None)
-            responses.append(self._respond(key, result, status,
+            responses.append(self._respond(key, pending.body, status,
                                            pending.stacked, started))
         if first_error is not None:
             raise first_error
@@ -178,7 +192,7 @@ class ScenarioService:
         with self._lock:
             return self._inflight.get(key)
 
-    def _respond(self, key: str, result: dict[str, object], status: str,
+    def _respond(self, key: str, body: bytes, status: str,
                  stacked: bool, started: float) -> ScenarioResponse:
         seconds = time.perf_counter() - started
         self.slo.record(seconds, cache_hit=status == "hit",
@@ -190,7 +204,7 @@ class ScenarioService:
                           stacked=stacked)
             observer.metrics.inc("serve.requests")
             observer.metrics.observe("serve.request.seconds", seconds)
-        return ScenarioResponse(key, result, status, stacked, seconds)
+        return ScenarioResponse(key, body, status, stacked, seconds)
 
     # -- health/SLO --------------------------------------------------------
     def slo_snapshot(self, *, publish: bool = True) -> dict[str, float | int]:

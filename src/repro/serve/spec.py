@@ -320,8 +320,17 @@ class ScenarioSpec:
         return canonical_json(self.as_payload())
 
     def spec_hash(self) -> str:
-        """Content address: SHA-256 of the canonical JSON."""
-        return content_hash(self.to_json())
+        """Content address: SHA-256 of the canonical JSON.
+
+        Computed once per instance and kept outside the dataclass
+        fields, so equality, :func:`dataclasses.replace` and the hash
+        scheme are unaffected.
+        """
+        digest = self.__dict__.get("_spec_hash")
+        if digest is None:
+            digest = content_hash(self.to_json())
+            object.__setattr__(self, "_spec_hash", digest)
+        return digest
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, object]) -> "ScenarioSpec":

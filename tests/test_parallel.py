@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,6 +39,19 @@ def failing_task(x):
     if x == 7:
         raise ValueError("unlucky point")
     return x
+
+
+def marking_task(marker_dir, fail_at, x):
+    """Leave a marker file for each task run; fail at ``fail_at``."""
+    Path(marker_dir, str(x)).touch()
+    if x == fail_at:
+        raise ValueError("unlucky point")
+    time.sleep(0.1)  # later tasks outlast the parent's cancellation
+    return x
+
+
+def tasks_run(marker_dir) -> set[int]:
+    return {int(path.name) for path in Path(marker_dir).iterdir()}
 
 
 def square_point(x):
@@ -93,6 +110,37 @@ class TestExecutors:
         assert error.task_index == 2
         assert error.error_type == "ValueError"
         assert "unlucky point" in str(error)
+
+    @pytest.mark.parametrize("chunk_size", [1, 2, 4, 10])
+    def test_serial_runs_no_task_after_the_failure(self, tmp_path,
+                                                   chunk_size):
+        task = functools.partial(marking_task, str(tmp_path), 3)
+        with pytest.raises(SweepError) as excinfo:
+            SerialExecutor().map_tasks(task, list(range(10)),
+                                       chunk_size=chunk_size)
+        assert excinfo.value.task_index == 3
+        assert tasks_run(tmp_path) == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("executor", [ThreadExecutor(2),
+                                          ProcessExecutor(2)])
+    def test_pool_chunk_stops_at_the_failure(self, tmp_path, executor):
+        task = functools.partial(marking_task, str(tmp_path), 3)
+        with pytest.raises(SweepError) as excinfo:
+            executor.map_tasks(task, list(range(10)), chunk_size=10)
+        assert excinfo.value.task_index == 3
+        assert tasks_run(tmp_path) == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("executor", [ThreadExecutor(1),
+                                          ProcessExecutor(1)])
+    def test_pool_cancels_chunks_not_started(self, tmp_path, executor):
+        # One worker: after chunk 0 fails, at most the chunks already
+        # handed to the worker (one for threads, up to three for a
+        # process pool's call queue) may still run.
+        task = functools.partial(marking_task, str(tmp_path), 0)
+        with pytest.raises(SweepError) as excinfo:
+            executor.map_tasks(task, list(range(12)), chunk_size=1)
+        assert excinfo.value.task_index == 0
+        assert len(tasks_run(tmp_path)) <= 4
 
     def test_worker_traceback_captured(self):
         with pytest.raises(SweepError) as excinfo:

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -213,6 +214,41 @@ class TestEndpoints:
                 status, again = request(port, "POST", "/scenario",
                                         small_payload(eps1=0.27))
                 assert again["cache"] == "hit"
+
+
+class TestKeepAlive:
+    @pytest.mark.parametrize("n_samples, min_body", [(61, 4_000),
+                                                     (401, 25_000)])
+    def test_sequential_hits_on_one_connection_do_not_stall(
+            self, n_samples, min_body):
+        """A response sent as two writes (headers, then body) waits
+        out the client's ~40 ms delayed ACK on a keep-alive
+        connection; one write answers a cache hit in about a
+        millisecond."""
+        body = json.dumps(small_payload(n_samples=n_samples))
+        with live_server(window_seconds=0.005) as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                conn.request("POST", "/scenario", body=body)
+                miss = json.loads(conn.getresponse().read())
+                trips = []
+                for _ in range(25):
+                    started = time.perf_counter()
+                    conn.request("POST", "/scenario", body=body)
+                    raw = conn.getresponse().read()
+                    trips.append(time.perf_counter() - started)
+                conn.request("GET", f"/scenario/{miss['spec_hash']}")
+                polled = json.loads(conn.getresponse().read())
+            finally:
+                conn.close()
+        hit = json.loads(raw)
+        assert len(raw) >= min_body
+        assert miss["cache"] == "miss" and hit["cache"] == "hit"
+        assert statistics.median(trips) < 0.010, trips
+        assert hit["spec_hash"] == polled["spec_hash"] == miss["spec_hash"]
+        assert hit["result"] == polled["result"] == miss["result"]
+        assert set(hit) == {"spec_hash", "trace_id", "cache", "stacked",
+                            "seconds", "result"}
 
 
 class TestHealthzEnrichment:

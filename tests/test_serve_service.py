@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -14,7 +15,7 @@ from repro.exceptions import ParameterError
 from repro.obs.manifest import MemorySink
 from repro.obs.trace import observing
 from repro.serve.batcher import MicroBatcher, PendingResult
-from repro.serve.cache import ResultCache
+from repro.serve.cache import ResultCache, encode_result
 from repro.serve.service import ScenarioService
 from repro.serve.spec import (
     ScenarioSpec,
@@ -67,6 +68,17 @@ class TestResultCache:
         cache.put("k", {"v": values})
         cache.clear()
         assert cache.get("k")["v"] == values
+
+    def test_one_encoding_is_stored_served_and_written(self, tmp_path):
+        result = {"infected": [0.1, 1 / 3], "kind": "trajectory"}
+        body = encode_result(result)
+        cache = ResultCache(disk_dir=tmp_path)
+        cache.put("k", body)
+        assert cache.get("k", encoded=True) is body
+        assert (tmp_path / "k.json").read_bytes() == body
+        assert cache.get("k") == result  # library callers get a dict
+        cache.clear()
+        assert cache.get("k", encoded=True) == body  # disk hit
 
     def test_torn_disk_blob_is_a_miss(self, tmp_path):
         (tmp_path / "bad.json").write_text("{not json")
@@ -305,6 +317,44 @@ class TestScenarioService:
         assert set(statuses) <= {"miss", "coalesced", "hit"}
         results = {id(r.result) for r in responses}
         assert all(r.result == responses[0].result for r in responses)
+
+    def test_each_result_encoded_once(self, monkeypatch):
+        """Owner, coalesced waiters and later hits share one encoding;
+        a coalesced waiter never answers without it."""
+        import repro.serve.batcher as batcher_module
+        import repro.serve.cache as cache_module
+
+        encodings = []
+
+        def counting_encode(result):
+            encodings.append(result)
+            return encode_result(result)
+
+        monkeypatch.setattr(batcher_module, "encode_result", counting_encode)
+        monkeypatch.setattr(cache_module, "encode_result", counting_encode)
+        n = 4
+        spec = small_spec(eps1=0.456)
+        responses = [None] * n
+        barrier = threading.Barrier(n)
+        with ScenarioService(window_seconds=0.1) as service:
+            def worker(index):
+                barrier.wait()
+                responses[index] = service.query(spec, timeout=60.0)
+
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            hit = service.query(spec, timeout=60.0)
+            polled = service.cache.get(spec.spec_hash(), encoded=True)
+        assert len(encodings) == 1
+        assert sorted(r.cache for r in responses).count("miss") == 1
+        assert hit.cache == "hit"
+        for response in (*responses, hit):
+            assert response.body is polled
+            assert response.result == json.loads(polled)
 
     def test_query_many_distinct_single_stacked_integration(self):
         specs = [small_spec(eps1=0.1 * i) for i in (1, 2, 3, 4)]

@@ -115,6 +115,31 @@ class TestSpecHash:
         assert small_spec(eps1=0.2) == small_spec(eps1=2e-1)
         assert small_spec(n_samples=11) == small_spec(n_samples=11.0)
 
+    def test_hash_computed_once_per_instance(self, monkeypatch):
+        import repro.serve.spec as spec_module
+
+        texts = []
+
+        def counting_hash(text):
+            texts.append(text)
+            return content_hash(text)
+
+        monkeypatch.setattr(spec_module, "content_hash", counting_hash)
+        spec = ScenarioSpec(eps1=0.3)
+        assert spec.spec_hash() == spec.spec_hash() == content_hash(
+            spec.to_json())
+        assert len(texts) == 1
+        # The memo is not a field: equality, repr and replace ignore it,
+        # and a copy with another policy hashes its own content.
+        assert spec == ScenarioSpec(eps1=0.3)
+        assert "_spec_hash" not in repr(spec)
+        moved = spec.with_policy(0.4, 0.05)
+        assert moved.spec_hash() == content_hash(moved.to_json())
+        assert moved.spec_hash() != spec.spec_hash()
+        assert dataclasses.replace(moved, eps1=0.3) == spec
+        assert dataclasses.replace(moved, eps1=0.3).spec_hash() == \
+            spec.spec_hash()
+
 
 class TestGoldenHashes:
     """Freeze the hash scheme: drift breaks stored cache keys loudly."""
