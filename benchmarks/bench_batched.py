@@ -2,7 +2,7 @@
 
 Times the same eps1 × eps2 threshold sweep under the serial point loop
 and under the :class:`~repro.parallel.VectorizedExecutor`, which stacks
-each chunk of parameter points into one ``(B, 3n)`` ODE system and
+each chunk of parameter points into one ``(B, 2n)`` ODE system and
 integrates the whole batch with matrix operations
 (:mod:`repro.numerics.ode_batched`).  Verifies the batched metrics
 agree with the serial reference within ``rtol = 1e-8`` and writes the
@@ -11,10 +11,9 @@ measurements to ``BENCH_batched.json`` at the repository root.
 Two workloads are recorded:
 
 * ``digg_threshold_sweep`` — the full 848-group Digg2009-compatible
-  network (state dimension 2544).  Per batched step this streams
-  ~hundreds of state-sized arrays through memory, so on
-  memory-bandwidth-bound machines the speedup saturates near the
-  DRAM-streaming limit rather than the batch width.
+  network (1696 carried values per point).  Each NumPy call of the
+  serial loop already covers a whole state, so stacking saves only
+  the fixed per-call cost and the speedup stays modest.
 * ``cache_resident_sweep`` — a 30-group network whose whole batch fits
   in cache; here Python/solver overhead dominates the serial loop and
   batching shows the engine's full headroom (order-of-magnitude).
@@ -157,10 +156,11 @@ def run_benchmark(*, points: int = 64, chunk_size: int | None = None,
         metrics_snapshot = observer.metrics.snapshot()
     derived["note"] = (
         "batched dopri45 step-locks to the serial solver, so metrics "
-        "agree to ~1e-13; the digg workload streams the full 2544-wide "
-        "state through memory every stage and its speedup saturates at "
-        "the machine's DRAM bandwidth, while the cache-resident "
-        "workload shows the engine's overhead-free headroom"
+        "agree to ~1e-13; on the digg workload each NumPy call already "
+        "covers 1696 values per row, so stacking saves little per-call "
+        "cost and the per-element work remains, while the "
+        "cache-resident workload shows the engine's overhead-free "
+        "headroom"
     )
 
     if out is not None:

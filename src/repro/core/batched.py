@@ -3,34 +3,38 @@
 A threshold/countermeasure sweep integrates the same heterogeneous SIR
 model at many ``(ε1, ε2)`` (and possibly α or λ-scale) points.  Instead
 of B independent integrations, :class:`BatchedHeterogeneousSIR` stacks
-the points into a ``(B, 3n)`` state matrix and evaluates the whole
-batch's right-hand side with one set of matrix operations:
+the points into one state matrix — ``(B, 2n)`` (S, I) under dopri45,
+``(B, 3n)`` under rk4 — and evaluates the whole batch's right-hand side
+with one set of matrix operations:
 
 * the coupling ``Θ_b = (1/⟨k⟩) Σ_i φ(k_i) I_{b,i}`` for all rows at once
-  via one elementwise product and a row-wise pairwise sum (chosen over a
-  BLAS matvec because the pairwise reduction is bitwise identical to the
-  scalar path's, see :meth:`HeterogeneousSIRModel._rhs_into`);
+  via one elementwise product and a row-wise pairwise sum (not a BLAS
+  matvec, whose result for a row depends on the batch height; the
+  pairwise reduction is bitwise identical to the scalar path's, see
+  :meth:`HeterogeneousSIRModel._rhs_into`);
 * ``λ(k_i) S_{b,i} Θ_b`` and the control terms as broadcasted products
   over the per-point ``(alpha, lambda_k, eps1, eps2)`` arrays.
 
 The batch integrates through :mod:`repro.numerics.ode_batched`: a
 fixed-grid ``rk4`` run is bitwise identical to B scalar simulations and
-the adaptive ``dopri45`` run matches within the solver tolerance.
+the adaptive ``dopri45`` run matches within the solver tolerance; a
+dopri45 row is bitwise equal to the same row integrated alone.
 Controls must be constant per point — time-varying controls stay on the
 scalar :class:`~repro.core.model.HeterogeneousSIRModel` path.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.parameters import RumorModelParameters
 from repro.core.state import RumorTrajectory, SIRState
-from repro.exceptions import ParameterError
+from repro.exceptions import IntegrationError, ParameterError
+from repro.numerics.ode import Dropped
 from repro.numerics.ode_batched import BatchedOdeSolution, integrate_batched
+from repro.obs.trace import get_observer
 
 __all__ = ["BatchedHeterogeneousSIR", "stackable"]
 
@@ -138,6 +142,17 @@ class BatchedHeterogeneousSIR:
             if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
                 raise ParameterError("lambda_k must be positive and finite")
             self.lambda_k = lam
+        # Constants read on every right-hand-side call.  [ε1, ε2] is a
+        # (2, 1) column per row, against the (2, n) view of that row's
+        # (S, I); α is a column when it varies by row.
+        self._n = params.n_groups
+        self._phi = params.phi_k
+        self._mean_degree = params.mean_degree
+        self._rates = np.stack([self.eps1, self.eps2], axis=1)[:, :, None]
+        self._alpha_col = (self.alpha if isinstance(self.alpha, float)
+                           else self.alpha[:, None])
+        self._selection: tuple = (None, self._rates, self._alpha_col,
+                                  self.lambda_k)
 
     @property
     def batch_size(self) -> int:
@@ -150,113 +165,70 @@ class BatchedHeterogeneousSIR:
         return self.params.n_groups
 
     # -- dynamics -------------------------------------------------------------
+    def _columns(self, rows: np.ndarray | None) -> tuple:
+        """``(rows, [ε1, ε2], α, λ)`` for the batch rows ``rows``.
+
+        The selection is cached on the identity of ``rows``: the batched
+        solvers hand over a new array only when a row freezes, and never
+        mutate one they have passed.  The cache is one tuple, replaced
+        whole, so concurrent integrations of one batch stay correct.
+        """
+        selection = self._selection
+        if selection[0] is not rows:
+            idx = slice(None) if rows is None else rows
+            selection = (rows, self._rates[idx],
+                         self._alpha_col if isinstance(self.alpha, float)
+                         else self._alpha_col[idx],
+                         self.lambda_k if self.lambda_k.ndim == 1
+                         else self.lambda_k[idx])
+            self._selection = selection
+        return selection
+
     def rhs(self, t: np.ndarray, y: np.ndarray,
             rows: np.ndarray | None = None,
-            out: np.ndarray | None = None, *,
-            exact_theta: bool = True) -> np.ndarray:
-        """Batched System (1) right-hand side on ``(L, 3n)`` states.
+            out: np.ndarray | None = None) -> np.ndarray:
+        """Batched System (1) right-hand side on ``(L, 3n)`` or ``(L, 2n)``.
 
-        ``rows`` selects which batch rows ``y`` holds (the batched
-        solvers compact finished rows); ``None`` means all B rows in
-        order.  ``out`` is an optional preallocated ``(L, 3n)`` result
-        buffer (the batched solvers pass their stage workspace).  Row
-        ``b``'s arithmetic is element-for-element the scalar
-        :meth:`HeterogeneousSIRModel._rhs_into` sequence — every
-        operation below is the in-place form of the scalar expression in
-        the same order — so fixed-grid integrations are bitwise
-        identical to B scalar runs.
-
-        ``exact_theta=True`` (the default, and what the bitwise rk4
-        contract requires) computes Θ with the scalar path's pairwise
-        reduction; ``False`` uses one BLAS matvec instead, which changes
-        Θ by a few ulps but evaluates measurably faster — the adaptive
-        dopri45 path opts in via :meth:`simulate`.
+        On the full ``(L, 3n)`` state it returns all three blocks; on
+        the ``(L, 2n)`` (S, I) state that :meth:`simulate` integrates
+        under dopri45 it returns the (S, I) derivatives alone.  ``rows``
+        selects which batch rows ``y`` holds (the batched solvers compact
+        finished rows); ``None`` means all B rows in order.  ``out`` is
+        an optional preallocated result buffer of ``y``'s shape (the
+        batched solvers pass their stage workspace).  Row ``b``'s
+        arithmetic is element-for-element the scalar
+        :meth:`HeterogeneousSIRModel._rhs_into` sequence (plus the R
+        block of :meth:`HeterogeneousSIRModel.rhs`), so fixed-grid
+        integrations are bitwise identical to B scalar runs and a
+        dopri45 row takes the scalar path's steps.
         """
-        p = self.params
-        n = p.n_groups
-        idx = slice(None) if rows is None else rows
-        s = y[:, :n]
-        i = y[:, n:2 * n]
-        lam = self.lambda_k if self.lambda_k.ndim == 1 else self.lambda_k[idx]
-        e1 = self.eps1[idx][:, None]
-        e2 = self.eps2[idx][:, None]
-        alpha = (self.alpha if isinstance(self.alpha, float)
-                 else self.alpha[idx][:, None])
+        n = self._n
+        _, rates, alpha, lam = self._columns(rows)
+        live = y.shape[0]
         if out is None:
             out = np.empty_like(y)
+        s = y[:, :n]
         o_s = out[:, :n]
         o_i = out[:, n:2 * n]
-        o_r = out[:, 2 * n:]
-        if exact_theta:
-            # Θ via elementwise product + pairwise row sum (not a BLAS
-            # dot): the pairwise reduction is bitwise-reproducible row
-            # by row, so it matches the scalar path exactly.  o_r
-            # doubles as scratch.
-            np.multiply(i, p.phi_k, out=o_r)
-            theta = o_r.sum(axis=1)
-        else:
-            # One BLAS matvec per evaluation — Θ for every row at once.
-            # Differs from the scalar reduction only in summation order
-            # (ulp-level), which the adaptive path tolerates.
-            theta = i @ p.phi_k
-        theta /= p.mean_degree
+        # Θ via elementwise product + pairwise row sum (not a BLAS dot,
+        # whose result for a row depends on the batch height): the
+        # pairwise reduction is bitwise-reproducible row by row, so it
+        # matches the scalar path exactly.  o_s doubles as scratch.
+        np.multiply(y[:, n:2 * n], self._phi, out=o_s)
+        theta = np.add.reduce(o_s, axis=1)
+        theta /= self._mean_degree
         np.multiply(lam, s, out=o_i)
         o_i *= theta[:, None]                 # infection = (λ·S)·Θ
         np.subtract(alpha, o_i, out=o_s)      # α − infection
-        np.multiply(e1, s, out=o_r)           # ε1·S
-        o_s -= o_r                            # (α − infection) − ε1·S
-        e2i = e2 * i
-        o_r += e2i                            # ε1·S + ε2·I
-        o_i -= e2i                            # infection − ε2·I
-        return out
-
-    def rhs_reduced(self, t: np.ndarray, y: np.ndarray,
-                    rows: np.ndarray | None = None,
-                    out: np.ndarray | None = None, *,
-                    exact_theta: bool = True) -> np.ndarray:
-        """Batched right-hand side on the reduced ``(L, 2n)`` (S, I) state.
-
-        System (1) conserves ``S_i + I_i + R_i − α·t`` group by group
-        (the three derivatives sum to α), and R feeds back into neither
-        dS nor dI.  A solver can therefore carry only (S, I) and
-        reconstruct R from the conservation law afterwards
-        (:meth:`simulate` with ``reduce_state=True``).
-
-        Caveat — and the reason this is *not* the default: dropping R
-        from the state also drops it from the adaptive error norm, so
-        the dopri45 step sequence decorrelates from the scalar path's.
-        Two tolerance-``rtol`` runs with different step sequences agree
-        only to the method's true local error (measured ~1e-6 relative
-        on the digg2009 sweep), not to ``rtol``-level.  Use this path
-        when raw throughput matters more than reproducing the scalar
-        sweep digit-for-digit.
-        """
-        p = self.params
-        n = p.n_groups
-        idx = slice(None) if rows is None else rows
-        s = y[:, :n]
-        i = y[:, n:]
-        lam = self.lambda_k if self.lambda_k.ndim == 1 else self.lambda_k[idx]
-        e1 = self.eps1[idx][:, None]
-        e2 = self.eps2[idx][:, None]
-        alpha = (self.alpha if isinstance(self.alpha, float)
-                 else self.alpha[idx][:, None])
-        if out is None:
-            out = np.empty_like(y)
-        o_s = out[:, :n]
-        o_i = out[:, n:]
-        if exact_theta:
-            np.multiply(i, p.phi_k, out=o_s)  # o_s doubles as scratch
-            theta = o_s.sum(axis=1)
-        else:
-            theta = i @ p.phi_k
-        theta /= p.mean_degree
-        np.multiply(lam, s, out=o_i)
-        o_i *= theta[:, None]                 # infection = (λ·S)·Θ
-        np.subtract(alpha, o_i, out=o_s)      # α − infection
-        e1s = e1 * s
-        o_s -= e1s                            # (α − infection) − ε1·S
-        o_i -= e2 * i                         # infection − ε2·I
+        # [ε1·S, ε2·I] in one call against the (2, n) view of each row's
+        # (S, I); the reshapes are views because each row's blocks are
+        # contiguous.
+        loss = np.multiply(rates, y[:, :2 * n].reshape(live, 2, n))
+        both = out[:, :2 * n].reshape(live, 2, n)
+        # [(α − infection) − ε1·S, infection − ε2·I]
+        np.subtract(both, loss, out=both)
+        if y.shape[1] > 2 * n:
+            np.add(loss[:, 0], loss[:, 1], out=out[:, 2 * n:])
         return out
 
     # -- simulation ------------------------------------------------------------
@@ -265,7 +237,6 @@ class BatchedHeterogeneousSIR:
                  n_samples: int = 201,
                  t_eval: Sequence[float] | np.ndarray | None = None,
                  method: str = "dopri45",
-                 reduce_state: bool | None = None,
                  **solver_options: object) -> BatchedOdeSolution:
         """Integrate every stacked point over ``(0, t_final]`` at once.
 
@@ -274,15 +245,15 @@ class BatchedHeterogeneousSIR:
         ``method`` is ``"dopri45"`` (default) or ``"rk4"``; the grid
         arguments mirror :meth:`HeterogeneousSIRModel.simulate`.
 
-        ``reduce_state=True`` makes the solver carry only the (S, I)
-        block and reconstruct R from the conservation law
-        ``S + I + R = S0 + I0 + R0 + α·t`` (see :meth:`rhs_reduced`).
-        It is opt-in extra throughput: the changed error norm shifts
-        the adaptive step sequence, so results match scalar runs only
-        to the method's true error (~1e-6) instead of the default
-        path's ~1e-11.  The default (False) keeps the error norm — and
-        therefore the step sequence and results — locked to the scalar
-        path.
+        dopri45 carries only (S, I), as the scalar model does, and
+        rebuilds R from the per-group conservation law
+        ``S + I + R = (S0 + I0 + R0) + α·(t − t0)``, with the totals at
+        the first output time ``t0``; R stays in the error norm, so each
+        row takes the scalar path's steps.  rk4 integrates the full
+        state, bitwise equal to scalar runs.  Either way an
+        ``IntegrationError`` trips the observer's ``integration`` alarm
+        and a clean run heals it, as in
+        :meth:`HeterogeneousSIRModel.simulate`.
         """
         n = self.n_groups
         if isinstance(initial, SIRState):
@@ -314,46 +285,31 @@ class BatchedHeterogeneousSIR:
             grid = np.linspace(0.0, float(t_final), int(n_samples))
         else:
             grid = np.asarray(t_eval, dtype=float)
-        if reduce_state is None:
-            reduce_state = False
-        # The adaptive path tolerates ulp-level Θ differences, so it
-        # takes the BLAS matvec; rk4's bitwise contract needs the exact
-        # pairwise reduction.
-        exact = method == "rk4"
-        if not reduce_state:
-            f = functools.partial(self.rhs, exact_theta=exact)
-            return integrate_batched(f, y0, grid, method=method,
-                                     **solver_options)
-        f = functools.partial(self.rhs_reduced, exact_theta=exact)
-        reduced = integrate_batched(f, y0[:, :2 * n], grid,
-                                    method=method, **solver_options)
-        return self._reconstruct_full(reduced, y0)
-
-    def _reconstruct_full(self, reduced: BatchedOdeSolution,
-                          y0: np.ndarray) -> BatchedOdeSolution:
-        """Rebuild the full (S, I, R) solution from a reduced (S, I) run.
-
-        Uses the per-group conservation law of System (1): the three
-        derivatives sum to α, so ``R(t) = (S0 + I0 + R0) + α·t − S − I``
-        exactly (up to round-off) for every row and group.
-        """
-        n = self.n_groups
-        m = reduced.t.size
-        batch = reduced.batch_size
-        full = np.empty((m, batch, 3 * n))
-        full[:, :, :2 * n] = reduced.y
-        # total0[b, i] = S0 + I0 + R0 for row b, group i.
-        total0 = y0[:, :n] + y0[:, n:2 * n] + y0[:, 2 * n:]
-        r = full[:, :, 2 * n:]
-        r[:] = total0
-        if isinstance(self.alpha, float):
-            r += (self.alpha * reduced.t)[:, None, None]
+        options = dict(solver_options)
+        if method == "dopri45":
+            total = y0[:, :n] + y0[:, n:2 * n] + y0[:, 2 * n:]
+            alpha = np.broadcast_to(self.alpha, (self.batch_size,))
+            options["dropped"] = Dropped(total, alpha)
+            carried = y0[:, :2 * n]
         else:
-            r += (reduced.t[:, None] * self.alpha)[:, :, None]
-        r -= reduced.y[:, :, :n]
-        r -= reduced.y[:, :, n:]
-        return BatchedOdeSolution(reduced.t, full, reduced.nfev_rows,
-                                  reduced.solver, stats=reduced.stats)
+            carried = y0
+        observer = get_observer()
+        context = {"where": "batched.simulate", "rows": self.batch_size}
+        try:
+            solution = integrate_batched(self.rhs, carried, grid,
+                                         method=method, **options)
+        except IntegrationError as error:
+            # As in HeterogeneousSIRModel.simulate: a blow-up unwinds
+            # before any result exists, so report it before propagating.
+            if observer is not None:
+                observer.health.check_integration(str(method), error,
+                                                  context=context)
+            raise
+        if observer is not None:
+            observer.health.check_integration(str(method), context=context)
+        if method == "dopri45":
+            solution.y[0] = y0  # R0 exactly, not rebuilt
+        return solution
 
     # -- analysis accessors ----------------------------------------------------
     def trajectory(self, solution: BatchedOdeSolution,

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.parameters import RumorModelParameters
 from repro.core.state import RumorTrajectory, SIRState
 from repro.exceptions import IntegrationError, ParameterError
-from repro.numerics.ode import integrate
+from repro.numerics.ode import Dropped, integrate
 from repro.obs.trace import get_observer
 
 __all__ = ["HeterogeneousSIRModel", "as_control"]
@@ -72,53 +72,79 @@ class HeterogeneousSIRModel:
 
     def __init__(self, params: RumorModelParameters) -> None:
         self.params = params
+        # System (1)'s constants, read on every right-hand-side call
+        # (each parameter property costs ~0.1 µs, a fifth of a NumPy
+        # call at tens of groups).
+        self._n = params.n_groups
+        self._phi = params.phi_k
+        self._lam = params.lambda_k
+        self._mean_degree = params.mean_degree
+        self._alpha = params.alpha
 
     # -- dynamics -------------------------------------------------------------
     def _rhs_into(self, y: np.ndarray, e1: float, e2: float,
                   out: np.ndarray) -> np.ndarray:
-        """Shared System (1) right-hand side, written into ``out``.
+        """System (1)'s (S, I) derivatives, written into ``out[:2n]``.
 
-        Both `rhs` and `rhs_constant` evaluate through here, so the
-        generic and fast paths cannot drift apart.  Θ uses an
-        elementwise product followed by numpy's pairwise summation
-        (not a BLAS dot) because that reduction is bitwise-reproducible
-        row by row — the batched engine
-        (:mod:`repro.numerics.ode_batched`) relies on it to match this
-        scalar path exactly.
+        Every scalar evaluation passes here: :meth:`rhs` and
+        :meth:`rhs_constant` append R's derivative on the full state,
+        and constant-control dopri45 runs integrate (S, I) alone.  The
+        operations are those of
+        :meth:`repro.core.batched.BatchedHeterogeneousSIR.rhs` for one
+        row, in the same order, so a stacked row and a solo run take the
+        same steps.  Θ uses an elementwise product followed by numpy's
+        pairwise summation (not a BLAS dot) because that reduction is
+        bitwise-reproducible row by row.
         """
-        p = self.params
-        n = p.n_groups
+        n = self._n
         s = y[:n]
         i = y[n:2 * n]
-        theta = float((p.phi_k * i).sum() / p.mean_degree)
-        infection = p.lambda_k * s * theta
-        out[:n] = p.alpha - infection - e1 * s
-        out[n:2 * n] = infection - e2 * i
-        out[2 * n:] = e1 * s + e2 * i
+        o_s = out[:n]
+        o_i = out[n:2 * n]
+        np.multiply(i, self._phi, out=o_s)      # o_s doubles as scratch
+        theta = np.add.reduce(o_s) / self._mean_degree
+        np.multiply(self._lam, s, out=o_i)
+        o_i *= theta                            # infection = (λ·S)·Θ
+        np.subtract(self._alpha, o_i, out=o_s)  # α − infection
+        o_s -= e1 * s                           # (α − infection) − ε1·S
+        o_i -= e2 * i                           # infection − ε2·I
         return out
 
     def rhs(self, t: float, y: np.ndarray,
             eps1: Callable[[float], float],
             eps2: Callable[[float], float]) -> np.ndarray:
-        """Right-hand side of System (1) on the flat state layout."""
+        """Right-hand side of System (1) on the flat ``(3n,)`` state."""
         e1 = float(eps1(t))
         e2 = float(eps2(t))
         if e1 < 0 or e2 < 0:
             raise ParameterError(
                 f"controls must be non-negative, got eps1={e1}, eps2={e2} at t={t}"
             )
-        return self._rhs_into(y, e1, e2, np.empty_like(y))
+        out = self._rhs_into(y, e1, e2, np.empty_like(y))
+        n = self._n
+        out[2 * n:] = e1 * y[:n] + e2 * y[n:2 * n]
+        return out
 
     def rhs_constant(self, eps1: float, eps2: float) -> Callable[[float, np.ndarray], np.ndarray]:
-        """Closed-over RHS with constant controls (fast path for solvers)."""
+        """Closed-over RHS with constant controls (fast path for solvers).
+
+        ``f(t, y)`` takes the flat ``(3n,)`` state, or the ``(2n,)``
+        (S, I) state that :meth:`simulate` integrates under dopri45, for
+        which it returns the (S, I) derivatives alone.
+        """
         e1 = float(eps1)
         e2 = float(eps2)
         if e1 < 0 or e2 < 0:
             raise ParameterError("controls must be non-negative")
         rhs_into = self._rhs_into
+        n = self._n
+        two_n = 2 * n
 
         def f(_t: float, y: np.ndarray) -> np.ndarray:
-            return rhs_into(y, e1, e2, np.empty_like(y))
+            out = rhs_into(y, e1, e2, np.empty_like(y))
+            if y.size > two_n:
+                out[two_n:] = e1 * y[:n] + e2 * y[n:two_n]
+            return out
 
         return f
 
@@ -147,7 +173,8 @@ class HeterogeneousSIRModel:
             Number of equally spaced output samples (ignored when
             ``t_eval`` is given).
         t_eval:
-            Explicit output grid starting at 0.
+            Explicit output grid; ``initial`` is the state at its first
+            time (usually 0).
         method:
             Solver name understood by :func:`repro.numerics.integrate`.
         """
@@ -165,15 +192,26 @@ class HeterogeneousSIRModel:
         else:
             grid = np.asarray(t_eval, dtype=float)
 
+        y0 = initial.pack()
+        carried = y0
+        options = dict(solver_options)
         if callable(eps1) or callable(eps2):
             e1 = as_control(eps1, "eps1")
             e2 = as_control(eps2, "eps2")
             f = lambda t, y: self.rhs(t, y, e1, e2)  # noqa: E731
         else:
-            f = self.rhs_constant(float(eps1), float(eps2))
+            f = self.rhs_constant(eps1, eps2)
+            if method == "dopri45":
+                # Carry (S, I) and rebuild R from the conservation law
+                # S + I + R = (S0 + I0 + R0) + α·(t − t0), keeping R in
+                # the error norm (see repro.numerics.ode.Dropped).
+                options["dropped"] = Dropped(
+                    initial.susceptible + initial.infected
+                    + initial.recovered, self._alpha)
+                carried = y0[:2 * self._n]
         try:
-            solution = integrate(f, initial.pack(), grid, method=method,
-                                 **solver_options)
+            solution = integrate(f, carried, grid, method=method,
+                                 **options)
         except IntegrationError as error:
             # A blow-up unwinds before any trajectory exists, so the
             # result-level checks below never see it; report it as its
@@ -184,6 +222,8 @@ class HeterogeneousSIRModel:
                     str(method), error,
                     context={"where": "model.simulate"})
             raise
+        if carried is not y0:
+            solution.y[0] = y0  # R0 exactly, not rebuilt
         observer = get_observer()
         if observer is not None:
             observer.health.check_integration(

@@ -9,7 +9,9 @@ library therefore ships:
 * :func:`rk4` — classic fixed-step 4th-order Runge–Kutta, the workhorse of
   the forward–backward sweep (both passes must share one time grid),
 * :func:`dopri45` — adaptive Dormand–Prince 5(4) with PI step-size control
-  and dense output via 4th-order Hermite interpolation (library default),
+  and dense output via 4th-order Hermite interpolation (library default);
+  with :class:`Dropped` it carries System (1) as (S, I), 1696 values on
+  the Digg network, and keeps the rebuilt R in its error norm,
 * :func:`solve_ivp_scipy` — thin wrapper over ``scipy.integrate.odeint``
   (LSODA) kept as an independent cross-check backend.
 
@@ -35,6 +37,7 @@ __all__ = [
     "euler",
     "rk4",
     "dopri45",
+    "Dropped",
     "solve_ivp_scipy",
     "integrate",
     "SOLVERS",
@@ -305,11 +308,85 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
 
+@dataclass(frozen=True)
+class Dropped:
+    """A state block an adaptive solver leaves out, and the law that rebuilds it.
+
+    System (1) conserves ``S_i + I_i + R_i − α·t`` in every degree group,
+    and R feeds back into neither dS nor dI.  Its solvers therefore carry
+    only (S, I) and rebuild ``R = (total + α·(t − t0)) − S − I`` from
+    the totals at the first output time ``t0``.  Generally: the carried
+    state is two blocks ``(a, b)`` of ``total``'s width ``n``, and the
+    dropped block is ``(total + rate·(t − t0)) − a − b``.
+
+    :func:`dopri45` and :func:`repro.numerics.ode_batched.dopri45_batched`
+    keep the dropped block in the error norm and in the first-step
+    heuristic, so the step sequence is that of the full state.  Their
+    output appends the dropped block, rebuilt at every sample time.
+
+    Attributes
+    ----------
+    total:
+        The per-group total at ``t0 = t_eval[0]``, shape ``(n,)``, or
+        ``(B, n)`` with one row per batch row for the batched solver.
+    rate:
+        Growth rate of the total (System (1)'s α); ``(B,)`` for a batch.
+    """
+
+    total: np.ndarray
+    rate: float | np.ndarray
+
+    @property
+    def width(self) -> int:
+        """Number of dropped components ``n``."""
+        return int(np.shape(self.total)[-1])
+
+
+def _fill_dropped(total: np.ndarray | float, rate_t: np.ndarray | float,
+                  y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = ((total + rate_t) − a) − b`` for the blocks ``y = [a | b]``.
+
+    Both adaptive loops rebuild the dropped block through here, so their
+    error norms see the same arithmetic.  With ``total = 0`` and
+    ``rate_t = rate`` it gives the dropped block's derivative.
+    """
+    n = out.shape[-1]
+    np.add(total, rate_t, out=out)
+    out -= y[..., :n]
+    out -= y[..., n:]
+    return out
+
+
+def _sum_blocks(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = a + b`` for the blocks ``y = [a | b]``.
+
+    Applied to the carried error it gives minus the dropped block's
+    error; the sign does not matter once squared.
+    """
+    n = out.shape[-1]
+    return np.add(y[..., :n], y[..., n:], out=out)
+
+
+def _extend(y: np.ndarray, n: int, total: np.ndarray | float | None,
+            rate_t: np.ndarray | float) -> np.ndarray:
+    """``[y | ((total + rate_t) − a) − b]`` along the last axis.
+
+    ``y`` itself when nothing is dropped (``n == 0``).
+    """
+    if n == 0:
+        return y
+    full = np.empty(y.shape[:-1] + (y.shape[-1] + n,))
+    full[..., :-n] = y
+    _fill_dropped(total, rate_t, y, full[..., -n:])
+    return full
+
+
 def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
             t_eval: Sequence[float] | np.ndarray, *,
             rtol: float = 1e-8, atol: float = 1e-10,
             h_init: float | None = None, h_max: float | None = None,
-            max_steps: int = 1_000_000) -> OdeSolution:
+            max_steps: int = 1_000_000,
+            dropped: Dropped | None = None) -> OdeSolution:
     """Adaptive Dormand–Prince RK5(4) with PI step control.
 
     Integrates from ``t_eval[0]`` to ``t_eval[-1]``, emitting the state at
@@ -318,18 +395,34 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
     ``err = ||(y5 − y4) / (atol + rtol·max(|y|, |y_new|))||_RMS`` and a PI
     controller (``β = 0.04``) smooths step-size changes.
 
+    ``dropped`` (see :class:`Dropped`) names a block the state ``y0``
+    leaves out: it is rebuilt from its conservation law at every step
+    and kept in the error norm, and the output appends it to ``y0``'s
+    blocks.
+
+    Every array operation is the one :func:`~repro.numerics.ode_batched.
+    dopri45_batched` applies to each of its rows, in the same order, so
+    the two loops take the same steps.
+
     Raises :class:`~repro.exceptions.IntegrationError` on step-size
     underflow, NaN states, or step-budget exhaustion.
     """
     grid = _validate_grid(t_eval)
-    y = _validate_y0(y0)
+    y0 = _validate_y0(y0)
     start = time.perf_counter()
     t0, tf = grid[0], grid[-1]
     span = tf - t0
     if h_max is None:
         h_max = span
+    dim = y0.size
+    if dropped is None:
+        n_drop, total, rate = 0, None, 0.0
+    else:
+        total = np.asarray(dropped.total, dtype=float)
+        n_drop, rate = total.size, float(dropped.rate)
+    width = dim + n_drop
     if h_init is None:
-        h = _initial_step(f, t0, y, rtol, atol, h_max)
+        h = _initial_step(f, t0, y0, rtol, atol, h_max, n_drop, total, rate)
         nfev = 2
     else:
         if h_init <= 0:
@@ -337,12 +430,23 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
         h = min(h_init, h_max)
         nfev = 0
 
-    out = np.empty((grid.size, y.size))
-    out[0] = y
+    # Workspaces.  ``full`` holds [y | dropped block] and ``full5`` the
+    # same at the trial point; they swap on every accepted step.
+    # ``size`` and ``size5`` hold their absolute values.
+    full = _extend(y0, n_drop, total, 0.0).copy()
+    out = np.empty((grid.size, width))
+    out[0] = full
     next_output = 1  # index into grid of the next output point to fill
+    full5 = np.empty(width)
+    size = np.abs(full)
+    size5 = np.empty(width)
+    err_vec = np.empty(width)
+    scale = np.empty(width)
+    k = np.empty((7, dim))
+    y_stage = np.empty(dim)
 
     t = t0
-    f_now = f(t, y)
+    k[0] = f(t, y0)
     nfev += 1
     warmup_nfev = nfev
     accepted = rejected = 0
@@ -360,36 +464,60 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
             raise IntegrationError(
                 f"dopri45 step size underflow at t={t:.6g} (h={h:.3g})"
             )
-        # Stage evaluations (FSAL: k[0] reuses f_now).
-        k = np.empty((7, y.size))
-        k[0] = f_now
+        y = full[:dim]
+        # Stage evaluations (FSAL: k[0] holds f(t, y)).
         for stage in range(1, 7):
-            y_stage = y + h * (_DP_A[stage] @ k[:stage])
+            np.matmul(_DP_A[stage], k[:stage], out=y_stage)
+            y_stage *= h
+            y_stage += y
             k[stage] = f(t + _DP_C[stage] * h, y_stage)
         nfev += 6
-        y5 = y + h * (_DP_B5 @ k)
-        y4 = y + h * (_DP_B4 @ k)
-        if not np.all(np.isfinite(y5)):
+        y5 = full5[:dim]
+        np.matmul(_DP_B5, k, out=y5)
+        y5 *= h
+        np.matmul(_DP_B4, k, out=y_stage)
+        y_stage *= h
+        if n_drop:
+            # The dropped block's error from the increments, before y is
+            # added: the block starts near zero in System (1), where the
+            # rounding of y5 − y4 would swamp its small error scale.
+            np.subtract(y5, y_stage, out=err_vec[:dim])
+            _sum_blocks(err_vec[:dim], err_vec[dim:])
+        y5 += y
+        y_stage += y                            # y4
+        np.subtract(y5, y_stage, out=err_vec[:dim])
+        if n_drop:
+            _fill_dropped(total, rate * ((t + h) - t0), y5, full5[dim:])
+        # err = RMS((y5 − y4) / (atol + rtol·max(|y|, |y5|))), with
+        # np.mean's pairwise sum.
+        np.abs(full5, out=size5)
+        np.maximum(size, size5, out=scale)
+        scale *= rtol
+        scale += atol
+        err_vec /= scale
+        np.multiply(err_vec, err_vec, out=err_vec)
+        err = math.sqrt(float(np.add.reduce(err_vec)) / width)
+        if not math.isfinite(err) and not np.all(np.isfinite(y5)):
             # Shrink aggressively and retry rather than aborting outright.
             rejected += 1
             h *= 0.25
             if h < 1e-14 * max(abs(t), 1.0):
                 raise IntegrationError(f"dopri45 produced non-finite state at t={t:.6g}")
             continue
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
         if err <= 1.0:
             # Accept: emit dense output for all grid points inside (t, t+h].
             accepted += 1
             step_sizes.append(h)
             t_new = t + h
-            f_new = k[6]  # FSAL: last stage is f(t_new, y5)
             while next_output < grid.size and grid[next_output] <= t_new + 1e-14:
-                out[next_output] = _hermite(
-                    t, t_new, y, y5, f_now, f_new, grid[next_output]
+                out[next_output, :dim] = _hermite(
+                    t, t_new, y, y5, k[0], k[6], grid[next_output]
                 )
                 next_output += 1
-            t, y, f_now = t_new, y5, f_new
+            t = t_new
+            full, full5 = full5, full
+            size, size5 = size5, size
+            k[0] = k[6]  # FSAL: last stage is f(t_new, y5)
             # PI controller.
             err = max(err, 1e-10)
             factor = safety * err ** (-0.7 / order) * err_prev ** (beta)
@@ -405,7 +533,10 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
 
     if next_output < grid.size:
         # Numerical edge: final grid point equals tf within round-off.
-        out[next_output:] = y
+        out[next_output:, :dim] = full[:dim]
+    if n_drop:
+        _fill_dropped(total, rate * (grid - t0)[:, None], out[:, :dim],
+                      out[:, dim:])
     _check_finite(out, "dopri45")
     history = np.asarray(step_sizes)
     stats = SolverStats(
@@ -414,21 +545,29 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
         h_min=float(history.min()) if history.size else 0.0,
         h_max=float(history.max()) if history.size else 0.0,
         wall_seconds=time.perf_counter() - start, step_sizes=history)
-    _emit_solver_event("dopri45", y.size, stats)
+    _emit_solver_event("dopri45", dim, stats)
     return OdeSolution(grid, out, nfev, "dopri45", stats=stats)
 
 
 def _initial_step(f: RhsFunction, t0: float, y0: np.ndarray,
-                  rtol: float, atol: float, h_max: float) -> float:
-    """Hairer–Nørsett–Wanner heuristic for the first step size."""
-    scale = atol + rtol * np.abs(y0)
+                  rtol: float, atol: float, h_max: float, n_drop: int = 0,
+                  total: np.ndarray | None = None,
+                  rate: float = 0.0) -> float:
+    """Hairer–Nørsett–Wanner heuristic for the first step size.
+
+    A dropped block (``n_drop`` components, see :class:`Dropped`) joins
+    the norms with its values and slopes, as on the full state.
+    """
+    full0 = _extend(y0, n_drop, total, 0.0)
+    scale = atol + rtol * np.abs(full0)
     f0 = f(t0, y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    slope0 = _extend(f0, n_drop, 0.0, rate)
+    d0 = math.sqrt(float(np.mean((full0 / scale) ** 2)))
+    d1 = math.sqrt(float(np.mean((slope0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    slope1 = _extend(f(t0 + h0, y1), n_drop, 0.0, rate)
+    d2 = math.sqrt(float(np.mean(((slope1 - slope0) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

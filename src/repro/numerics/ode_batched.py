@@ -22,13 +22,17 @@ whole batch through one solver loop, so every numpy call operates on
   reach the end of the horizon are *frozen* — removed from the live
   batch — so a few stiff rows do not force full-batch work.
 
-Both solvers run allocation-free in the hot loop: stage slopes live in
-one preallocated ``(7, B·d)`` workspace and stage combinations are BLAS
-``matmul`` calls writing into reused buffers.  The error estimate and
-PI controller evaluate the scalar solver's formulas in the scalar
-solver's exact operation order, so each row's accept/reject and
-step-size sequence reproduces an independent scalar run and adaptive
-batched trajectories agree with scalar ones to round-off.
+The adaptive solver keeps its work in reused buffers.  Stage slopes
+live in a ``(B, 7, d)`` workspace, so each row's stage combinations are
+their own BLAS call, shaped as in the scalar solver: a row's values do
+not depend on its batch-mates, and a row stacked with others is bitwise
+equal to the same row integrated alone (given a right-hand side that is
+row-independent too).  The error estimate and PI controller evaluate
+the scalar solver's formulas in its operation order, so each row's
+accept/reject and step-size sequence reproduces an independent scalar
+run and adaptive batched trajectories agree with scalar ones to
+round-off.  Per-row bookkeeping (dense output, freezing) runs only in
+steps where some row crosses a grid time or rejects.
 
 Calling convention
 ------------------
@@ -38,7 +42,11 @@ shape ``(L,)`` (one time per live row), ``y`` has shape ``(L, d)``, and
 original batch indices 0..B-1.  Solvers compact finished rows out of the
 batch, so a right-hand side holding per-row parameter arrays must index
 them with ``rows`` (see :class:`repro.core.batched.BatchedHeterogeneousSIR`).
-Right-hand sides with no per-row parameters may ignore ``rows``.
+Right-hand sides with no per-row parameters may ignore ``rows``.  The
+solvers never mutate a ``rows`` array they have passed, and
+``dopri45_batched`` hands over the same array object until a row
+freezes, so a right-hand side may cache per-row data keyed on its
+identity.
 
 A right-hand side may additionally accept ``out=`` — a preallocated
 ``(L, d)`` array to write the derivative into.  The solvers detect
@@ -57,12 +65,17 @@ import numpy as np
 
 from repro.exceptions import IntegrationError, ParameterError
 from repro.numerics.ode import (
+    Dropped,
     OdeSolution,
     SolverStats,
     _DP_A,
     _DP_B4,
     _DP_B5,
     _DP_C,
+    _extend,
+    _fill_dropped,
+    _hermite,
+    _sum_blocks,
     _validate_grid,
 )
 from repro.obs.trace import get_observer
@@ -78,6 +91,10 @@ __all__ = [
 ]
 
 BatchedRhsFunction = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+# The scalar dopri45's step-size controller, applied row by row.
+_SAFETY, _BETA, _ORDER = 0.9, 0.04, 5.0
+_MIN_FACTOR, _MAX_FACTOR = 0.2, 5.0
 
 
 @dataclass(frozen=True)
@@ -326,50 +343,42 @@ def rk4_batched(f: BatchedRhsFunction, y0: np.ndarray,
 
 def _initial_step_batched(rhs: _RhsAdapter, t0: float, y0: np.ndarray,
                           rows: np.ndarray, rtol: float, atol: float,
-                          h_max: float,
-                          f0_out: np.ndarray) -> np.ndarray:
+                          h_max: float, f0_out: np.ndarray, n_drop: int,
+                          total: np.ndarray | None,
+                          rate: np.ndarray) -> np.ndarray:
     """Hairer–Nørsett–Wanner first-step heuristic, one value per row.
 
     ``f0_out`` receives ``f(t0, y0)`` so the caller can seed the FSAL
-    slot without re-evaluating.
+    slot without re-evaluating.  A dropped block joins the norms as in
+    the scalar :func:`~repro.numerics.ode._initial_step`.
     """
     batch = y0.shape[0]
-    scale = atol + rtol * np.abs(y0)
+    full0 = _extend(y0, n_drop, total, 0.0)
+    scale = atol + rtol * np.abs(full0)
     rhs(np.full(batch, t0), y0, rows, f0_out)
     f0 = f0_out
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2, axis=1))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2, axis=1))
+    slope0 = _extend(f0, n_drop, 0.0, rate)
+    d0 = np.sqrt(np.mean((full0 / scale) ** 2, axis=1))
+    d1 = np.sqrt(np.mean((slope0 / scale) ** 2, axis=1))
     small = (d0 < 1e-5) | (d1 < 1e-5)
     h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(d1 > 0, d1, 1.0))
     y1 = y0 + h0[:, None] * f0
     f1 = np.empty_like(y0)
     rhs(t0 + h0, y1, rows, f1)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2, axis=1)) / h0
+    slope1 = _extend(f1, n_drop, 0.0, rate)
+    d2 = np.sqrt(np.mean(((slope1 - slope0) / scale) ** 2, axis=1)) / h0
     dm = np.maximum(d1, d2)
     h1 = np.where(dm <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.where(dm > 0, dm, 1.0)) ** (1.0 / 5.0))
     return np.minimum(np.minimum(100.0 * h0, h1), h_max)
 
 
-def _hermite_rows(t0: np.ndarray, t1: np.ndarray, y0: np.ndarray,
-                  y1: np.ndarray, f0: np.ndarray, f1: np.ndarray,
-                  t: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolation on one accepted step, per row."""
-    h = t1 - t0
-    s = (t - t0) / h
-    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    h10 = s * (1.0 - s) ** 2
-    h01 = s * s * (3.0 - 2.0 * s)
-    h11 = s * s * (s - 1.0)
-    return (h00[:, None] * y0 + (h10 * h)[:, None] * f0
-            + h01[:, None] * y1 + (h11 * h)[:, None] * f1)
-
-
 def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
                     t_eval: Sequence[float] | np.ndarray, *,
                     rtol: float = 1e-8, atol: float = 1e-10,
                     h_init: float | None = None, h_max: float | None = None,
-                    max_steps: int = 1_000_000) -> BatchedOdeSolution:
+                    max_steps: int = 1_000_000,
+                    dropped: Dropped | None = None) -> BatchedOdeSolution:
     """Adaptive Dormand–Prince RK5(4) with per-row step control.
 
     Every row runs the scalar :func:`dopri45` control law independently:
@@ -378,6 +387,11 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
     whose time reaches ``t_eval[-1]`` are frozen — compacted out of the
     live batch so the remaining rows keep full vector width without
     wasted evaluations.
+
+    ``dropped`` (see :class:`~repro.numerics.ode.Dropped`, with one
+    ``total`` row and one ``rate`` per batch row) names a block the
+    state leaves out; it stays in every row's error norm, and the output
+    appends it to the carried blocks.
 
     ``max_steps`` bounds iterations of the *shared* step loop (one
     iteration advances every live row at most one step).
@@ -394,51 +408,73 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
     span = tf - t0
     if h_max is None:
         h_max = span
+    # The clamp to tf − t already keeps h ≤ span.
+    clamp_h_max = h_max < span
+    # No row can underflow while every h exceeds the largest floor
+    # 1e-14·max(|t|, 1) over the horizon; only then check row by row.
+    h_floor = 1e-14 * max(abs(t0), abs(tf), 1.0)
     n_grid = grid.size
     rhs = _RhsAdapter(f)
-
-    out = np.empty((n_grid, batch, dim))
-    out[0] = y
-    nfev_rows = np.zeros(batch, dtype=np.int64)
+    if dropped is None:
+        n_drop, total, rate = 0, None, np.zeros((batch, 1))
+    else:
+        n_drop = dropped.width
+        total = np.broadcast_to(dropped.total, (batch, n_drop))
+        rate = np.broadcast_to(dropped.rate, (batch,))[:, None]
+    width = dim + n_drop
+    full = _extend(y, n_drop, total, 0.0).copy()
+    out = np.empty((n_grid, batch, width))
+    out[0] = full
     next_output = np.ones(batch, dtype=np.int64)  # per-row next grid index
-    accepted_rows = np.zeros(batch, dtype=np.int64)
+    attempted_rows = np.zeros(batch, dtype=np.int64)
     rejected_rows = np.zeros(batch, dtype=np.int64)
     h_min_rows = np.full(batch, np.inf)
     h_max_rows = np.zeros(batch)
 
     # Live-row workspaces, sized once for the full batch.  The first m
-    # rows of each buffer (first m column-blocks of ``k``) hold the live
-    # rows, in a fixed shared order; ``live[:m]`` maps them back to
-    # original batch indices.  Only views are taken inside the loop.
+    # rows of each hold the live rows in a fixed shared order;
+    # ``live[:m]`` maps them back to batch indices.  ``rows`` is the
+    # array handed to ``f``: a copy, replaced by a new copy when rows
+    # freeze, so ``f`` never sees it change.
+    # ``full`` holds [y | dropped block] and ``full5`` the same at the
+    # trial point; they swap when every row accepts.
     live = np.arange(batch)
+    rows = live.copy()
+    # Row copies of the dropped block's law, compacted with the rows.
+    total_live = None if total is None else total.copy()
+    rate_live = rate.copy()
     t = np.full(batch, t0)
     h = np.empty(batch)
     err_prev = np.ones(batch)
-    k = np.empty((7, batch * dim))  # stage slopes, one (dim,) block per row
-    y5ev = np.empty((2, batch * dim))  # row 0: y5; row 1: error ratios
-    ystage = np.empty_like(y)
-    scale = np.empty_like(y)
+    h_lo = np.full(batch, np.inf)   # accepted-step range of live rows
+    h_hi = np.zeros(batch)
+    next_time = np.full(batch, grid[1])  # grid time each row fills next
+    # Stage slopes, one (7, dim) block per row: each row's stage
+    # combinations are then their own BLAS call, shaped as in the scalar
+    # solver, so a row's values do not depend on its batch-mates.
+    k = np.empty((batch, 7, dim))
+    full5 = np.empty((batch, width))
+    size = np.abs(full)             # |full| and |full5|
+    size5 = np.empty((batch, width))
+    err_mat = np.empty((batch, width))
+    scale = np.empty((batch, width))
+    stage_buf = np.empty((batch, dim))
+    sum_buf = np.empty((batch, dim))
 
     m = batch
-    k0_seed = k[0, :m * dim].reshape(m, dim)
+    k0_seed = k[:, 0]
     if h_init is None:
         # The heuristic leaves f(t0, y0) in the FSAL slot, so the first
         # step needs no extra evaluation.
-        h[:] = _initial_step_batched(rhs, t0, y, live, rtol, atol, h_max,
-                                     k0_seed)
-        nfev_rows += 2
+        h[:] = _initial_step_batched(rhs, t0, y, rows, rtol, atol, h_max,
+                                     k0_seed, n_drop, total_live, rate_live)
         warmup_nfev = 2
     else:
         if h_init <= 0:
             raise ParameterError("h_init must be positive")
         h[:] = min(h_init, h_max)
-        rhs(t[:m], y, live, k0_seed)
-        nfev_rows += 1
+        rhs(t, y, rows, k0_seed)
         warmup_nfev = 1
-
-    safety, beta = 0.9, 0.04
-    min_factor, max_factor = 0.2, 5.0
-    order = 5.0
 
     old_err = np.seterr(invalid="ignore", over="ignore", divide="ignore")
     try:
@@ -451,167 +487,158 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
                     f"{int(live[0])} at t={t[0]:.6g})"
                 )
             steps += 1
-            md = m * dim
-            tm, hm, ym = t[:m], h[:m], y[:m]
+            tm, hm = t[:m], h[:m]
             np.minimum(hm, tf - tm, out=hm)
-            np.minimum(hm, h_max, out=hm)
-            underflow = hm < 1e-14 * np.maximum(np.abs(tm), 1.0)
-            if underflow.any():
-                row = int(live[:m][underflow][0])
-                raise IntegrationError(
-                    f"dopri45-batched step size underflow for batch row "
-                    f"{row} at t={tm[underflow][0]:.6g} "
-                    f"(h={hm[underflow][0]:.3g})"
-                )
-            kf = k[:, :md]
-            # Stage evaluations (FSAL: k[0] already holds f(t, y)).
-            ysf = ystage.reshape(-1)[:md]
+            if clamp_h_max:
+                np.minimum(hm, h_max, out=hm)
+            if hm.min() < h_floor:
+                underflow = hm < 1e-14 * np.maximum(np.abs(tm), 1.0)
+                if underflow.any():
+                    row = int(live[:m][underflow][0])
+                    raise IntegrationError(
+                        f"dopri45-batched step size underflow for batch "
+                        f"row {row} at t={tm[underflow][0]:.6g} "
+                        f"(h={hm[underflow][0]:.3g})"
+                    )
+            h_col = hm[:, None]
+            ym = full[:m, :dim]
+            km = k[:m]
+            stage = stage_buf[:m]
+            # Stage evaluations (FSAL: k[:, 0] already holds f(t, y)),
+            # each row in exactly the scalar solver's arithmetic.
+            stage_t = tm + np.multiply.outer(_DP_C, hm)
             for s in range(1, 7):
-                np.matmul(_DP_A[s], kf[:s], out=ysf)
-                ysm = ystage[:m]
-                np.multiply(ysm, hm[:, None], out=ysm)
-                ysm += ym
-                rhs(tm + _DP_C[s] * hm, ysm, live[:m],
-                    kf[s].reshape(m, dim))
-            nfev_rows[live[:m]] += 6
-            # 5th- and 4th-order solutions, in exactly the scalar
-            # solver's arithmetic: the same full-tableau dgemv products
-            # (dgemv accumulates the 7 stages in the same order for any
-            # output width) and an explicit y5 − y4 subtraction.  Any
-            # shortcut — the b5 − b4 coefficient row, dropping the zero
-            # b5[6] stage, a stacked dgemm — perturbs the error estimate
-            # by ulps, and knife-edge accept decisions amplify that into
-            # ~1e-8 trajectory drift off the scalar step sequence.
-            y5m = y5ev[0, :md].reshape(m, dim)
-            evm = y5ev[1, :md].reshape(m, dim)
-            np.matmul(_DP_B5, kf, out=y5ev[0, :md])
-            np.multiply(y5m, hm[:, None], out=y5m)
-            y5m += ym
-            np.matmul(_DP_B4, kf, out=y5ev[1, :md])
-            evm *= hm[:, None]
-            evm += ym                     # y4
-            np.subtract(y5m, evm, out=evm)  # y5 − y4
+                np.matmul(_DP_A[s], km[:, :s], out=stage)
+                stage *= h_col
+                stage += ym
+                rhs(stage_t[s], stage, rows, km[:, s])
+            # 5th- and 4th-order solutions and their difference.
+            y5m = full5[:m, :dim]
+            errm = err_mat[:m]
+            sums = sum_buf[:m]
+            np.matmul(_DP_B5, km, out=sums)
+            sums *= h_col
+            np.matmul(_DP_B4, km, out=stage)
+            stage *= h_col
+            if n_drop:
+                # The dropped block's error from the increments, as in
+                # the scalar solver.
+                np.subtract(sums, stage, out=errm[:, :dim])
+                _sum_blocks(errm[:, :dim], errm[:, dim:])
+            np.add(sums, ym, out=y5m)
+            stage += ym                             # y4
+            np.subtract(y5m, stage, out=errm[:, :dim])
+            t_new = tm + hm
+            if n_drop:
+                _fill_dropped(total_live[:m],
+                              rate_live[:m] * (t_new - t0)[:, None],
+                              y5m, full5[:m, dim:])
             # err = RMS((y5 − y4) / (atol + rtol·max(|y|, |y5|))), with
-            # the scalar solver's pairwise np.mean reduction.
+            # the scalar solver's pairwise mean per row.
             scm = scale[:m]
-            np.abs(ym, out=scm)
-            np.abs(y5m, out=ysm)          # ystage is free scratch now
-            np.maximum(scm, ysm, out=scm)
+            np.abs(full5[:m], out=size5[:m])
+            np.maximum(size[:m], size5[:m], out=scm)
             scm *= rtol
             scm += atol
-            evm /= scm
-            np.multiply(evm, evm, out=ysm)
-            err = ysm.mean(axis=1)
+            errm /= scm
+            np.multiply(errm, errm, out=errm)
+            err = np.add.reduce(errm, axis=1)
+            err /= width
             np.sqrt(err, out=err)
 
-            finite = np.isfinite(y5m).all(axis=1)
-            err = np.where(finite & np.isfinite(err), err, np.inf)
-            accept = err <= 1.0
-            # Per-row step accounting: every live row attempted this
-            # step; rejections include non-finite trial states, so
-            # nfev_rows == warmup + 6·(accepted + rejected) row-wise.
-            accepted_rows[live[:m][accept]] += 1
-            rejected_rows[live[:m][~accept]] += 1
+            if err.max() <= 1.0:
+                # Every row accepts (a NaN fails the comparison).
+                acc = None
+            else:
+                acc = _reject_rows(err, full5[:m, :dim], hm, tm, live[:m],
+                                   rejected_rows)
+                if acc.size == 0:
+                    continue
+            if acc is None:
+                np.minimum(h_lo[:m], hm, out=h_lo[:m])
+                np.maximum(h_hi[:m], hm, out=h_hi[:m])
+                crossed = np.nonzero(t_new + 1e-14 >= next_time[:m])[0]
+            else:
+                h_lo[acc] = np.minimum(h_lo[acc], hm[acc])
+                h_hi[acc] = np.maximum(h_hi[acc], hm[acc])
+                crossed = acc[t_new[acc] + 1e-14 >= next_time[acc]]
+            # Dense output: fill every grid point a row just stepped
+            # across (the scalar solver's inner loop), then advance.
+            done = []
+            for i in crossed:
+                row = live[i]
+                no = next_output[row]
+                while no < n_grid and grid[no] <= t_new[i] + 1e-14:
+                    out[no, row, :dim] = _hermite(
+                        tm[i], t_new[i], ym[i], y5m[i], km[i, 0], km[i, 6],
+                        grid[no])
+                    no += 1
+                next_output[row] = no
+                next_time[i] = grid[no] if no < n_grid else tf
+                if t_new[i] >= tf:
+                    done.append(i)
+            # Advance accepted rows, refresh their FSAL slot, and run
+            # their PI controllers (scalar formulas, per row).
+            if acc is None:
+                tm[:] = t_new
+                full, full5 = full5, full
+                size, size5 = size5, size
+                km[:, 0] = km[:, 6]
+                np.maximum(err, 1e-10, out=err)
+                factor = err ** (-0.7 / _ORDER)
+                factor *= _SAFETY
+                factor *= err_prev[:m] ** _BETA
+                err_prev[:m] = err
+                np.maximum(factor, _MIN_FACTOR, out=factor)
+                np.minimum(factor, _MAX_FACTOR, out=factor)
+                hm *= factor
+            else:
+                tm[acc] = t_new[acc]
+                full[acc] = full5[acc]
+                size[acc] = size5[acc]
+                km[acc, 0] = km[acc, 6]
+                err_acc = np.maximum(err[acc], 1e-10)
+                factor = (_SAFETY * err_acc ** (-0.7 / _ORDER)
+                          * err_prev[:m][acc] ** _BETA)
+                err_prev[:m][acc] = err_acc
+                hm[acc] *= np.clip(factor, _MIN_FACTOR, _MAX_FACTOR)
 
-            # Non-finite trial states: shrink aggressively and retry,
-            # exactly like the scalar solver's recovery path.
-            if not finite.all():
-                blown = ~finite
-                hm[blown] *= 0.25
-                dead = blown & (hm < 1e-14 * np.maximum(np.abs(tm), 1.0))
-                if dead.any():
-                    row = int(live[:m][dead][0])
-                    raise IntegrationError(
-                        f"dopri45-batched produced non-finite state for "
-                        f"batch row {row} at t={tm[dead][0]:.6g}"
-                    )
-            all_accepted = accept.all()
-            if not all_accepted:
-                rejected = ~accept & finite
-                if rejected.any():
-                    hm[rejected] *= np.maximum(
-                        min_factor, safety * err[rejected] ** (-1.0 / order))
-
-            if all_accepted or accept.any():
-                acc = None if all_accepted else np.nonzero(accept)[0]
-                k0 = kf[0].reshape(m, dim)
-                k6 = kf[6].reshape(m, dim)
-                t_new = tm + hm
-                # Record the accepted step sizes before the controllers
-                # rescale hm.
-                rows_acc = live[:m] if all_accepted else live[:m][acc]
-                h_acc = hm if all_accepted else hm[acc]
-                h_min_rows[rows_acc] = np.minimum(h_min_rows[rows_acc], h_acc)
-                h_max_rows[rows_acc] = np.maximum(h_max_rows[rows_acc], h_acc)
-                # Dense output: fill every grid point each accepted row
-                # just stepped across (the scalar solver's inner loop).
-                pending = np.arange(m) if all_accepted else acc
-                while pending.size:
-                    no = next_output[live[pending]]
-                    can = (no < n_grid) & (grid[np.minimum(no, n_grid - 1)]
-                                           <= t_new[pending] + 1e-14)
-                    pending = pending[can]
-                    if pending.size == 0:
-                        break
-                    rows_full = live[pending]
-                    no = next_output[rows_full]
-                    out[no, rows_full] = _hermite_rows(
-                        tm[pending], t_new[pending], ym[pending],
-                        y5m[pending], k0[pending], k6[pending], grid[no])
-                    next_output[rows_full] = no + 1
-                # Advance accepted rows, refresh their FSAL slot, and run
-                # their PI controllers (scalar formulas, per row).
-                if all_accepted:
-                    tm[:] = t_new
-                    ym[:] = y5m
-                    k0[:] = k6
-                    err_acc = np.maximum(err, 1e-10)
-                    factor = (safety * err_acc ** (-0.7 / order)
-                              * err_prev[:m] ** beta)
-                    err_prev[:m] = err_acc
-                    hm *= np.minimum(max_factor,
-                                     np.maximum(min_factor, factor))
-                else:
-                    tm[acc] = t_new[acc]
-                    ym[acc] = y5m[acc]
-                    k0[acc] = k6[acc]
-                    err_acc = np.maximum(err[acc], 1e-10)
-                    factor = (safety * err_acc ** (-0.7 / order)
-                              * err_prev[:m][acc] ** beta)
-                    err_prev[:m][acc] = err_acc
-                    hm[acc] *= np.minimum(max_factor,
-                                          np.maximum(min_factor, factor))
-
+            if done:
                 # Freeze rows that reached the end of the horizon.  Only
-                # y, t, h, err_prev, live and the FSAL slot k[0] carry
-                # state across steps, so only they are compacted.
-                done = tm >= tf
-                if done.any():
-                    for i in np.nonzero(done)[0]:
-                        row = live[i]
-                        if next_output[row] < n_grid:
-                            # Final grid point equal to tf within
-                            # round-off.
-                            out[next_output[row]:, row] = y[i]
-                            next_output[row] = n_grid
-                    keep = np.nonzero(~done)[0]
-                    new_m = keep.size
-                    if new_m:
-                        y[:new_m] = y[keep]
-                        t[:new_m] = t[keep]
-                        h[:new_m] = h[keep]
-                        err_prev[:new_m] = err_prev[keep]
-                        live[:new_m] = live[keep]
-                        cols = (keep[:, None] * dim
-                                + np.arange(dim)).ravel()
-                        k[0, :new_m * dim] = k[0, cols]
-                    m = new_m
+                # the workspaces that carry state across steps (those
+                # below and the FSAL slot k[:, 0]) are compacted.
+                for i in done:
+                    row = live[i]
+                    if next_output[row] < n_grid:
+                        # Final grid point equal to tf within round-off.
+                        out[next_output[row]:, row, :dim] = full[i, :dim]
+                        next_output[row] = n_grid
+                    attempted_rows[row] = steps
+                    h_min_rows[row] = h_lo[i]
+                    h_max_rows[row] = h_hi[i]
+                # (np.setdiff1d would import numpy.ma, ~1 MB resident.)
+                keep = np.delete(np.arange(m), done)
+                new_m = keep.size
+                if new_m:
+                    for buf in (full, size, t, h, err_prev, h_lo, h_hi,
+                                next_time, live, rate_live):
+                        buf[:new_m] = buf[keep]
+                    if n_drop:
+                        total_live[:new_m] = total_live[keep]
+                    k[:new_m, 0] = k[keep, 0]
+                    rows = live[:new_m].copy()
+                m = new_m
     finally:
         np.seterr(**old_err)
 
+    if n_drop:
+        _fill_dropped(total, rate * (grid - t0)[:, None, None],
+                      out[..., :dim], out[..., dim:])
     _check_finite_batch(out, "dopri45-batched")
+    nfev_rows = warmup_nfev + 6 * attempted_rows
     stats = BatchedSolverStats(
-        accepted_rows=accepted_rows, rejected_rows=rejected_rows,
+        accepted_rows=attempted_rows - rejected_rows,
+        rejected_rows=rejected_rows,
         warmup_nfev=warmup_nfev, h_min_rows=h_min_rows,
         h_max_rows=h_max_rows, loop_steps=steps,
         wall_seconds=time.perf_counter() - start)
@@ -619,6 +646,35 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
                                stats)
     return BatchedOdeSolution(grid, out, nfev_rows, "dopri45-batched",
                               stats=stats)
+
+
+def _reject_rows(err: np.ndarray, y5: np.ndarray, h: np.ndarray,
+                 t: np.ndarray, live: np.ndarray,
+                 rejected_rows: np.ndarray) -> np.ndarray:
+    """Shrink the steps of rows that reject; the indices that accept.
+
+    A row whose trial state is non-finite shrinks by 4× and retries,
+    like the scalar solver's recovery path; other rejections shrink by
+    the scalar controller's factor.  ``rejected_rows`` counts both.
+    """
+    accept = err <= 1.0
+    rejected_rows[live[~accept]] += 1
+    blown = ~np.isfinite(err)
+    if blown.any():
+        blown[blown] = ~np.isfinite(y5[blown]).all(axis=1)
+        h[blown] *= 0.25
+        dead = blown & (h < 1e-14 * np.maximum(np.abs(t), 1.0))
+        if dead.any():
+            raise IntegrationError(
+                f"dopri45-batched produced non-finite state for batch "
+                f"row {int(live[dead][0])} at t={t[dead][0]:.6g}"
+            )
+    shrink = ~accept & ~blown
+    if shrink.any():
+        # fmax, like the scalar solver's max(), ignores a NaN error.
+        h[shrink] *= np.fmax(_MIN_FACTOR,
+                             _SAFETY * err[shrink] ** (-1.0 / _ORDER))
+    return np.nonzero(accept)[0]
 
 
 BATCHED_SOLVERS: dict[str, Callable[..., BatchedOdeSolution]] = {

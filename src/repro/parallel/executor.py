@@ -362,9 +362,10 @@ class VectorizedExecutor(ParallelExecutor):
     backend = "vectorized"
 
     #: Default rows per stacked integration when the sweep driver does
-    #: not override it.  Throughput is flat for 8–64 rows on the digg
-    #: workload (the batch is memory-bandwidth-bound), so the default
-    #: just keeps the working set modest.
+    #: not override it.  Throughput per row is flat for 8–64 rows on the
+    #: digg workload: a few rows already amortize each NumPy call's fixed
+    #: cost, and what remains is per-element work that grows with the
+    #: rows.  So the default just keeps the working set modest.
     DEFAULT_CHUNK = 16
 
     def __init__(self, workers: int = 1, *,

@@ -3,9 +3,9 @@
 Results are keyed by :meth:`~repro.serve.spec.ScenarioSpec.spec_hash` —
 the SHA-256 of the canonical spec JSON — so the cache never needs an
 invalidation protocol for *inputs*: a different question is a different
-key.  The caveat (documented in ``docs/SERVICE.md``) is code drift: the
-key does not encode the solver implementation, so cached blobs must be
-discarded when the numerics change (the on-disk directory is safe to
+key.  Code drift is handled by :data:`NUMERICS_VERSION`: the disk tier
+keeps its blobs under a subdirectory named for it, so answers computed
+by older numerics are never served (the directory is still safe to
 delete wholesale at any time).
 
 Each entry is the result's JSON encoding (:func:`encode_result`), made
@@ -17,8 +17,9 @@ demand.  Two tiers:
 * an in-memory LRU (``OrderedDict`` behind a lock) bounded by
   ``max_entries``;
 * an optional on-disk tier (``disk_dir``) storing the same bytes as
-  ``<hash>.json``.  Disk blobs survive restarts and LRU eviction;
-  reads re-populate the memory tier.  Floats round-trip JSON exactly
+  ``numerics-<NUMERICS_VERSION>/<hash>.json``.  Disk blobs survive
+  restarts and LRU eviction; reads re-populate the memory tier.
+  Floats round-trip JSON exactly
   (shortest repr), so a disk hit returns the same numbers as the run
   that produced it.
 
@@ -40,7 +41,15 @@ from typing import Mapping
 
 from repro.obs.trace import get_observer
 
-__all__ = ["ResultCache", "encode_result"]
+__all__ = ["NUMERICS_VERSION", "ResultCache", "encode_result"]
+
+#: Version of the numerics that compute served answers.  Bump it in any
+#: change that moves an answer, even at round-off: the disk tier keeps
+#: blobs under ``numerics-<version>/``, so blobs written by older code
+#: are never read.  Not part of ``spec_hash``, which names the question.
+#: Version 1 (no subdirectory) integrated System (1) on the full
+#: (S, I, R) state; version 2 carries (S, I) and rebuilds R.
+NUMERICS_VERSION = 2
 
 
 def encode_result(result: Mapping[str, object]) -> bytes:
@@ -58,7 +67,8 @@ class ResultCache:
         overflow (evictions only drop the memory copy when a disk tier
         holds the blob).
     disk_dir:
-        Optional directory for persistent ``<hash>.json`` blobs; created
+        Optional directory for persistent blobs, kept as
+        ``numerics-<NUMERICS_VERSION>/<hash>.json`` inside it; created
         on first write.
     """
 
@@ -68,6 +78,8 @@ class ResultCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
+        self._blob_dir = (None if self.disk_dir is None else
+                          self.disk_dir / f"numerics-{NUMERICS_VERSION}")
         self._entries: OrderedDict[str, bytes] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
@@ -160,16 +172,16 @@ class ResultCache:
         """Disk-tier summary for ``/healthz``.
 
         ``tier`` is ``"disabled"`` (no ``disk_dir``), ``"ok"``, or
-        ``"degraded"`` (at least one unreadable blob observed).  Blob
-        counting only happens when a directory exists; a missing
-        directory just means nothing has been written yet.
+        ``"degraded"`` (at least one unreadable blob observed).
+        ``blobs`` counts the current numerics version's blobs only; a
+        missing directory just means nothing has been written yet.
         """
         with self._lock:
             errors = self._disk_errors
-        if self.disk_dir is None:
+        if self._blob_dir is None:
             return {"tier": "disabled", "blobs": 0, "read_errors": errors}
         try:
-            blobs = sum(1 for _ in self.disk_dir.glob("*.json"))
+            blobs = sum(1 for _ in self._blob_dir.glob("*.json"))
         except OSError:
             return {"tier": "degraded", "blobs": 0,
                     "read_errors": errors + 1}
@@ -184,9 +196,9 @@ class ResultCache:
 
     # -- disk tier ---------------------------------------------------------
     def _disk_path(self, key: str) -> Path | None:
-        if self.disk_dir is None:
+        if self._blob_dir is None:
             return None
-        path = self.disk_dir / f"{key}.json"
+        path = self._blob_dir / f"{key}.json"
         return path if path.is_file() else None
 
     def _read_disk(self, key: str) -> bytes | None:
@@ -215,10 +227,10 @@ class ResultCache:
         return body
 
     def _write_disk(self, key: str, body: bytes) -> None:
-        if self.disk_dir is None:
+        if self._blob_dir is None:
             return
-        self.disk_dir.mkdir(parents=True, exist_ok=True)
-        path = self.disk_dir / f"{key}.json"
+        self._blob_dir.mkdir(parents=True, exist_ok=True)
+        path = self._blob_dir / f"{key}.json"
         tmp = path.with_suffix(".json.tmp")
         try:
             tmp.write_bytes(body)

@@ -8,8 +8,12 @@ The contract under test (see ``docs/PERFORMANCE.md``):
 * adaptive ``dopri45_batched`` runs the scalar control law per row and
   matches scalar trajectories within ``np.allclose(rtol=1e-8,
   atol=1e-10)``;
-* rows freeze independently, right-hand sides without ``out=`` support
-  still work, and malformed inputs raise :class:`ParameterError`.
+* System (1) under dopri45 carries (S, I) and rebuilds R: each stacked
+  row is bitwise equal to the same row integrated alone, and the result
+  tracks a full (S, I, R) integration within ``rtol=1e-5, atol=1e-10``;
+* rows freeze independently, a ``rows`` array handed to the right-hand
+  side never changes afterwards, right-hand sides without ``out=``
+  support still work, and malformed inputs raise :class:`ParameterError`.
 """
 
 from __future__ import annotations
@@ -115,6 +119,22 @@ class TestDopri45Batched:
         assert batched.nfev_rows[np.argmax(RATES)] >= \
             batched.nfev_rows[np.argmin(RATES)]
 
+    def test_passed_rows_never_change(self):
+        """A right-hand side may keep the ``rows`` arrays it was given:
+        the solver hands over a new array when rows freeze and never
+        rewrites one it has passed."""
+        seen = []
+
+        def keeping_rhs(t, y, rows, out=None):
+            if not any(rows is kept for kept, _ in seen):
+                seen.append((rows, rows.copy()))
+            return decay_rhs_batched(t, y, rows, out)
+
+        dopri45_batched(keeping_rhs, self.Y0, self.GRID)
+        assert len(seen) >= 2  # rows froze at different steps
+        for kept, first in seen:
+            assert np.array_equal(kept, first)
+
     def test_rhs_without_out_support(self):
         with_out = dopri45_batched(decay_rhs_batched, self.Y0, self.GRID)
         without = dopri45_batched(decay_rhs_no_out, self.Y0, self.GRID)
@@ -186,6 +206,81 @@ def scalar_reference(params, initial, eps1, eps2, *, t_final, n_samples,
     return np.stack(stacked, axis=1)
 
 
+def full_state_reference(params, initial, eps1, eps2, grid):
+    """Per-point ``ode.dopri45`` runs on the full (S, I, R) state.
+
+    An independent reference for the (S, I) layout: it integrates R
+    itself instead of rebuilding it from the conservation law.
+    """
+    model = HeterogeneousSIRModel(params)
+    return np.stack([dopri45(model.rhs_constant(e1, e2), initial.pack(),
+                             grid).y
+                     for e1, e2 in zip(eps1, eps2)], axis=1)
+
+
+@pytest.fixture(scope="module")
+def digg_params():
+    from repro.datasets import synthesize_digg2009
+    return RumorModelParameters(synthesize_digg2009().distribution)
+
+
+class TestSusceptibleInfectedLayout:
+    """dopri45 carries (S, I) and rebuilds R, with R in the error norm."""
+
+    DIGG_POLICIES = [(0.2, 0.05), (0.1, 0.03), (0.3, 0.1), (0.05, 0.01)]
+
+    def test_digg_rows_independent_of_batch_mates(self, digg_params):
+        initial = SIRState.initial(digg_params.n_groups, 0.01)
+        eps1, eps2 = zip(*self.DIGG_POLICIES)
+        stacked = BatchedHeterogeneousSIR(
+            digg_params, eps1=eps1, eps2=eps2).simulate(
+                initial, t_final=60.0, n_samples=61)
+        for b, (e1, e2) in enumerate(self.DIGG_POLICIES):
+            alone = BatchedHeterogeneousSIR(
+                digg_params, eps1=[e1], eps2=[e2]).simulate(
+                    initial, t_final=60.0, n_samples=61)
+            assert np.array_equal(stacked.y[:, b], alone.y[:, 0])
+            assert stacked.nfev_rows[b] == alone.nfev_rows[0]
+
+    @pytest.mark.parametrize("eps1, eps2", [(0.2, 0.05), (0.1, 0.03)])
+    def test_digg_step_counts_match_full_state(self, digg_params, eps1,
+                                               eps2):
+        initial = SIRState.initial(digg_params.n_groups, 0.01)
+        grid = np.linspace(0.0, 60.0, 61)
+        carried = BatchedHeterogeneousSIR(
+            digg_params, eps1=[eps1], eps2=[eps2]).simulate(
+                initial, t_eval=grid)
+        model = HeterogeneousSIRModel(digg_params)
+        full = dopri45(model.rhs_constant(eps1, eps2), initial.pack(), grid)
+        assert carried.stats.accepted_rows[0] == full.stats.accepted
+        assert carried.stats.rejected_rows[0] == full.stats.rejected
+        assert np.allclose(carried.y[:, 0], full.y, rtol=1e-5, atol=1e-10)
+
+    def test_grid_starting_after_zero(self):
+        """R is rebuilt from the totals at ``t_eval[0]``: a grid that
+        starts at t = 5, from a state with R > 0, tracks the full-state
+        integration on the solo and the stacked path."""
+        params = make_params(8)
+        n = params.n_groups
+        initial = SIRState(np.full(n, 0.8), np.full(n, 0.05),
+                           np.full(n, 0.15))
+        grid = np.linspace(5.0, 15.0, 21)
+        eps1, eps2 = [0.05, 0.15], [0.02, 0.08]
+        reference = full_state_reference(params, initial, eps1, eps2, grid)
+        stacked = BatchedHeterogeneousSIR(params, eps1=eps1,
+                                          eps2=eps2).simulate(initial,
+                                                              t_eval=grid)
+        assert np.allclose(stacked.y, reference, rtol=1e-5, atol=1e-10)
+        model = HeterogeneousSIRModel(params)
+        for b, (e1, e2) in enumerate(zip(eps1, eps2)):
+            solo = model.simulate(initial, t_final=grid[-1], eps1=e1,
+                                  eps2=e2, t_eval=grid)
+            flat = np.hstack([solo.susceptible, solo.infected,
+                              solo.recovered])
+            assert np.allclose(flat, reference[:, b], rtol=1e-5,
+                               atol=1e-10)
+
+
 class TestBatchedModel:
     EPS1 = [0.05, 0.15, 0.30]
     EPS2 = [0.02, 0.08, 0.12]
@@ -221,9 +316,9 @@ class TestBatchedModel:
     def test_reduced_state_conserves_and_approximates(self, params, initial):
         batch = BatchedHeterogeneousSIR(params, eps1=self.EPS1,
                                         eps2=self.EPS2)
-        full = batch.simulate(initial, t_final=10.0, n_samples=21)
-        reduced = batch.simulate(initial, t_final=10.0, n_samples=21,
-                                 reduce_state=True)
+        reduced = batch.simulate(initial, t_final=10.0, n_samples=21)
+        full = full_state_reference(params, initial, self.EPS1, self.EPS2,
+                                    reduced.t)
         n = params.n_groups
         # Conservation: S + I + R = total0 + α·t per group, exactly as
         # reconstructed.
@@ -231,9 +326,9 @@ class TestBatchedModel:
                   + reduced.y[:, :, 2 * n:])
         expected = totals[0][None] + params.alpha * reduced.t[:, None, None]
         assert np.allclose(totals, expected, rtol=1e-12, atol=1e-12)
-        # The decorrelated step sequence still tracks the full path to
-        # the method's true error, far looser than the locked contract.
-        assert np.allclose(reduced.y, full.y, rtol=1e-4, atol=1e-7)
+        # R stays in the error norm, so the (S, I) run tracks the
+        # full-state integration to the dense output's accuracy.
+        assert np.allclose(reduced.y, full, rtol=1e-5, atol=1e-7)
 
     def test_population_accessors(self, params, initial):
         batch = BatchedHeterogeneousSIR(params, eps1=self.EPS1,
@@ -333,3 +428,36 @@ class TestBatchedEquivalenceProperties:
                                      method="dopri45")
         assert np.allclose(solution.y, reference,
                            rtol=ADAPTIVE_RTOL, atol=ADAPTIVE_ATOL)
+
+    @SETTINGS
+    @given(draw=draws)
+    def test_dopri45_rows_independent_of_batch_mates(self, draw):
+        params = make_params(draw["n_groups"], draw["alpha"],
+                             draw["exponent"])
+        rng = np.random.default_rng(draw["seed"])
+        eps1 = rng.uniform(0.02, 0.35, draw["batch"])
+        eps2 = rng.uniform(0.02, 0.35, draw["batch"])
+        initial = SIRState.initial(params.n_groups, draw["infected0"])
+        stacked = BatchedHeterogeneousSIR(params, eps1=eps1, eps2=eps2)
+        solution = stacked.simulate(initial, t_final=6.0, n_samples=13)
+        for b in range(draw["batch"]):
+            alone = BatchedHeterogeneousSIR(
+                params, eps1=eps1[b:b + 1], eps2=eps2[b:b + 1]).simulate(
+                    initial, t_final=6.0, n_samples=13)
+            assert np.array_equal(solution.y[:, b], alone.y[:, 0])
+            assert solution.nfev_rows[b] == alone.nfev_rows[0]
+
+    @SETTINGS
+    @given(draw=draws)
+    def test_dopri45_close_to_full_state_any_draw(self, draw):
+        params = make_params(draw["n_groups"], draw["alpha"],
+                             draw["exponent"])
+        rng = np.random.default_rng(draw["seed"])
+        eps1 = rng.uniform(0.02, 0.35, draw["batch"])
+        eps2 = rng.uniform(0.02, 0.35, draw["batch"])
+        initial = SIRState.initial(params.n_groups, draw["infected0"])
+        batch = BatchedHeterogeneousSIR(params, eps1=eps1, eps2=eps2)
+        solution = batch.simulate(initial, t_final=6.0, n_samples=13)
+        reference = full_state_reference(params, initial, eps1, eps2,
+                                         solution.t)
+        assert np.allclose(solution.y, reference, rtol=1e-5, atol=1e-10)

@@ -11,18 +11,29 @@ import pytest
 from repro.core.batched import stackable
 from repro.core.model import HeterogeneousSIRModel
 from repro.core.state import SIRState
-from repro.exceptions import ParameterError
+from repro.exceptions import IntegrationError, ParameterError
 from repro.obs.manifest import MemorySink
-from repro.obs.trace import observing
+from repro.obs.trace import observing, tracing
 from repro.serve.batcher import MicroBatcher, PendingResult
-from repro.serve.cache import ResultCache, encode_result
+from repro.serve.cache import NUMERICS_VERSION, ResultCache, encode_result
 from repro.serve.service import ScenarioService
 from repro.serve.spec import (
     ScenarioSpec,
     execute_scenario,
     execute_scenario_batch,
+    get_family,
     scenario_parameters,
 )
+
+#: Where the disk tier keeps this code's blobs.
+BLOB_SUBDIR = f"numerics-{NUMERICS_VERSION}"
+
+#: An rk4 run calibrated to r0 = 8 that blows up (non-finite state).
+BLOWUP = {"network": {"kind": "power_law", "k_min": 1, "k_max": 30,
+                      "exponent": 2.0},
+          "method": "rk4", "n_samples": 6, "t_final": 200.0,
+          "eps1": 0.2, "eps2": 0.05,
+          "calibration": {"eps1": 0.2, "eps2": 0.05, "r0": 8.0}}
 
 
 def small_spec(**overrides) -> ScenarioSpec:
@@ -60,7 +71,7 @@ class TestResultCache:
         assert len(cache) == 0
         assert cache.get("deadbeef") == {"infected": [0.1, 0.2]}
         assert len(cache) == 1  # disk hit re-populated memory
-        assert (tmp_path / "blobs" / "deadbeef.json").is_file()
+        assert (tmp_path / "blobs" / BLOB_SUBDIR / "deadbeef.json").is_file()
 
     def test_disk_floats_roundtrip_exactly(self, tmp_path):
         cache = ResultCache(disk_dir=tmp_path)
@@ -75,15 +86,46 @@ class TestResultCache:
         cache = ResultCache(disk_dir=tmp_path)
         cache.put("k", body)
         assert cache.get("k", encoded=True) is body
-        assert (tmp_path / "k.json").read_bytes() == body
+        assert (tmp_path / BLOB_SUBDIR / "k.json").read_bytes() == body
         assert cache.get("k") == result  # library callers get a dict
         cache.clear()
         assert cache.get("k", encoded=True) == body  # disk hit
 
     def test_torn_disk_blob_is_a_miss(self, tmp_path):
-        (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / BLOB_SUBDIR).mkdir()
+        (tmp_path / BLOB_SUBDIR / "bad.json").write_text("{not json")
         cache = ResultCache(disk_dir=tmp_path)
         assert cache.get("bad") is None
+
+    def test_disk_path_scheme_is_frozen(self, tmp_path):
+        """Golden: a spec's blob lives at numerics-<version>/<hash>.json.
+
+        The version names the numerics, not the question, so
+        ``spec_hash`` (and ``golden_spec_hashes.json``) stays put when
+        it is bumped."""
+        key = small_spec().spec_hash()
+        ResultCache(disk_dir=tmp_path).put(key, {"kind": "trajectory"})
+        blobs = [path.relative_to(tmp_path).as_posix()
+                 for path in tmp_path.rglob("*.json")]
+        assert NUMERICS_VERSION == 2
+        assert blobs == [f"numerics-2/{key}.json"]
+
+    def test_blob_from_older_numerics_is_not_served(self, tmp_path):
+        """A blob at the unversioned path (numerics version 1) is never
+        read, and the disk status does not count it."""
+        spec = small_spec()
+        key = spec.spec_hash()
+        (tmp_path / f"{key}.json").write_bytes(
+            encode_result({"kind": "trajectory", "stale": True}))
+        cache = ResultCache(disk_dir=tmp_path)
+        assert cache.get(key) is None
+        assert key not in cache
+        assert cache.disk_status()["blobs"] == 0
+        with ScenarioService(cache=cache, window_seconds=0.0) as service:
+            response = service.query(spec, timeout=60.0)
+        assert response.cache == "miss"
+        assert "stale" not in response.result
+        assert cache.disk_status()["blobs"] == 1
 
     def test_hit_miss_counters(self):
         cache = ResultCache()
@@ -198,6 +240,21 @@ class TestExecuteScenario:
         with observing(None):
             observed = execute_scenario(spec)
         assert bare == observed
+
+
+class TestStackedRowIndependence:
+    def test_digg_rows_equal_their_batch_of_one(self):
+        """A served digg2009 row does not depend on its batch-mates: each
+        row of a 4-row stack equals the same spec stacked alone."""
+        specs = [ScenarioSpec.from_payload(
+                     {"network": "digg2009", "t_final": 60.0,
+                      "n_samples": 61, "eps1": eps1, "eps2": eps2})
+                 for eps1, eps2 in [(0.2, 0.05), (0.1, 0.03), (0.3, 0.1),
+                                    (0.05, 0.01)]]
+        run_batch = get_family("heterogeneous_sir").run_batch
+        stacked = run_batch(specs)
+        for spec, result in zip(specs, stacked):
+            assert run_batch([spec]) == [result]
 
 
 class TestMicroBatcher:
@@ -423,6 +480,53 @@ class TestScenarioService:
         assert miss.cache == "miss"
         assert hit.cache == "hit"
         assert hit.result == miss.result  # exact float round trip via JSON
+
+    def test_stacked_blowup_trips_and_heals_integration_alarm(self):
+        """A stacked batch whose integration raises trips the integration
+        alarm, stamped with every member's trace id; a clean stacked
+        integration heals it."""
+        blowups = [ScenarioSpec.from_payload(dict(BLOWUP, eps2=eps2))
+                   for eps2 in (0.05, 0.06)]
+        errors: list[BaseException] = []
+
+        def ask(spec, trace_id):
+            with tracing(trace_id):
+                try:
+                    service.query(spec, timeout=60.0)
+                except IntegrationError as error:
+                    errors.append(error)
+
+        sink = MemorySink()
+        with observing(None, sink=sink, run={"case": "stacked-blowup"}) \
+                as observer:
+            with ScenarioService(window_seconds=0.3) as service:
+                threads = [threading.Thread(target=ask,
+                                            args=(spec, f"member-{j}"))
+                           for j, spec in enumerate(blowups)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                assert len(errors) == 2
+                assert "rk4-batched" in str(errors[0])
+                sick = observer.health.status()
+                assert sick["status"] == "critical"
+                alarm = sick["alarms"]["integration"]
+                assert alarm["severity"] == "critical"
+                assert "rk4 aborted" in alarm["detail"]
+                clean = service.query_many(
+                    [small_spec(eps1=0.11), small_spec(eps1=0.12)],
+                    timeout=60.0)
+                assert all(response.stacked for response in clean)
+                healed = observer.health.status()
+                assert healed["alarms"]["integration"]["severity"] == "ok"
+                assert healed["alarms"]["integration"]["worst"] == "critical"
+        tripped = [e for e in sink.events
+                   if e["type"] == "health" and e["check"] == "integration"
+                   and e["severity"] == "critical"]
+        assert len(tripped) == 1
+        assert tripped[0]["context"]["rows"] == 2
+        assert sorted(tripped[0]["trace_ids"]) == ["member-0", "member-1"]
 
     def test_disabled_observer_result_identical(self):
         spec = small_spec(eps1=0.37)
