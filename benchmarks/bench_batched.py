@@ -2,21 +2,21 @@
 
 Times the same eps1 × eps2 threshold sweep under the serial point loop
 and under the :class:`~repro.parallel.VectorizedExecutor`, which stacks
-each chunk of parameter points into one ``(B, 2n)`` ODE system and
-integrates the whole batch with matrix operations
-(:mod:`repro.numerics.ode_batched`).  Verifies the batched metrics
-agree with the serial reference within ``rtol = 1e-8`` and writes the
+each chunk of parameter points into one ``(B, 3n)`` System (1) solve
+(:class:`~repro.core.batched.BatchedHeterogeneousSIR`; under dopri45
+the compiled kernel of :mod:`repro.numerics.system1` integrates each
+row, as it does each serial point).  Verifies the batched metrics agree
+with the serial reference within ``rtol = 1e-8`` and writes the
 measurements to ``BENCH_batched.json`` at the repository root.
 
 Two workloads are recorded:
 
 * ``digg_threshold_sweep`` — the full 848-group Digg2009-compatible
-  network (1696 carried values per point).  Each NumPy call of the
-  serial loop already covers a whole state, so stacking saves only
-  the fixed per-call cost and the speedup stays modest.
-* ``cache_resident_sweep`` — a 30-group network whose whole batch fits
-  in cache; here Python/solver overhead dominates the serial loop and
-  batching shows the engine's full headroom (order-of-magnitude).
+  network (1696 carried values per point).  A point costs the same
+  kernel work serial or stacked, so stacking saves only the per-call
+  Python cost around it.
+* ``cache_resident_sweep`` — a 30-group network, where that per-call
+  Python cost is a larger share of a point.
 
 Usage::
 
@@ -155,12 +155,10 @@ def run_benchmark(*, points: int = 64, chunk_size: int | None = None,
                             repeat=repeat)
         metrics_snapshot = observer.metrics.snapshot()
     derived["note"] = (
-        "batched dopri45 step-locks to the serial solver, so metrics "
-        "agree to ~1e-13; on the digg workload each NumPy call already "
-        "covers 1696 values per row, so stacking saves little per-call "
-        "cost and the per-element work remains, while the "
-        "cache-resident workload shows the engine's overhead-free "
-        "headroom"
+        "serial points and stacked rows run the same compiled System (1) "
+        "kernel row by row, so metrics agree bit for bit up to the "
+        "population reductions' summation order; stacking saves only "
+        "the per-call Python cost around each solve"
     )
 
     if out is not None:

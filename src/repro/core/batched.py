@@ -3,9 +3,8 @@
 A threshold/countermeasure sweep integrates the same heterogeneous SIR
 model at many ``(ε1, ε2)`` (and possibly α or λ-scale) points.  Instead
 of B independent integrations, :class:`BatchedHeterogeneousSIR` stacks
-the points into one state matrix — ``(B, 2n)`` (S, I) under dopri45,
-``(B, 3n)`` under rk4 — and evaluates the whole batch's right-hand side
-with one set of matrix operations:
+the points into one ``(B, 3n)`` state matrix and evaluates the whole
+batch's right-hand side with one set of matrix operations:
 
 * the coupling ``Θ_b = (1/⟨k⟩) Σ_i φ(k_i) I_{b,i}`` for all rows at once
   via one elementwise product and a row-wise pairwise sum (not a BLAS
@@ -16,9 +15,12 @@ with one set of matrix operations:
   over the per-point ``(alpha, lambda_k, eps1, eps2)`` arrays.
 
 The batch integrates through :mod:`repro.numerics.ode_batched`: a
-fixed-grid ``rk4`` run is bitwise identical to B scalar simulations and
-the adaptive ``dopri45`` run matches within the solver tolerance; a
-dopri45 row is bitwise equal to the same row integrated alone.
+fixed-grid ``rk4`` run is bitwise identical to B scalar simulations.
+Under ``dopri45`` the compiled kernel of :mod:`repro.numerics.system1`
+integrates each row on its own, as it does a scalar simulation, so a
+stacked row is bitwise equal to the same point simulated alone; without
+a C compiler the generic batched loop matches scalar runs within the
+solver tolerance.
 Controls must be constant per point — time-varying controls stay on the
 scalar :class:`~repro.core.model.HeterogeneousSIRModel` path.
 """
@@ -32,8 +34,8 @@ import numpy as np
 from repro.core.parameters import RumorModelParameters
 from repro.core.state import RumorTrajectory, SIRState
 from repro.exceptions import IntegrationError, ParameterError
-from repro.numerics.ode import Dropped
 from repro.numerics.ode_batched import BatchedOdeSolution, integrate_batched
+from repro.numerics.system1 import System1
 from repro.obs.trace import get_observer
 
 __all__ = ["BatchedHeterogeneousSIR", "stackable"]
@@ -187,20 +189,15 @@ class BatchedHeterogeneousSIR:
     def rhs(self, t: np.ndarray, y: np.ndarray,
             rows: np.ndarray | None = None,
             out: np.ndarray | None = None) -> np.ndarray:
-        """Batched System (1) right-hand side on ``(L, 3n)`` or ``(L, 2n)``.
+        """Batched System (1) right-hand side on the ``(L, 3n)`` state.
 
-        On the full ``(L, 3n)`` state it returns all three blocks; on
-        the ``(L, 2n)`` (S, I) state that :meth:`simulate` integrates
-        under dopri45 it returns the (S, I) derivatives alone.  ``rows``
-        selects which batch rows ``y`` holds (the batched solvers compact
-        finished rows); ``None`` means all B rows in order.  ``out`` is
-        an optional preallocated result buffer of ``y``'s shape (the
-        batched solvers pass their stage workspace).  Row ``b``'s
-        arithmetic is element-for-element the scalar
-        :meth:`HeterogeneousSIRModel._rhs_into` sequence (plus the R
-        block of :meth:`HeterogeneousSIRModel.rhs`), so fixed-grid
-        integrations are bitwise identical to B scalar runs and a
-        dopri45 row takes the scalar path's steps.
+        ``rows`` selects which batch rows ``y`` holds (the batched
+        solvers compact finished rows); ``None`` means all B rows in
+        order.  ``out`` is an optional preallocated result buffer of
+        ``y``'s shape (the batched solvers pass their stage workspace).
+        Row ``b``'s arithmetic is element-for-element the scalar
+        :meth:`HeterogeneousSIRModel.rhs` sequence, so fixed-grid
+        integrations are bitwise identical to B scalar runs.
         """
         n = self._n
         _, rates, alpha, lam = self._columns(rows)
@@ -227,8 +224,7 @@ class BatchedHeterogeneousSIR:
         both = out[:, :2 * n].reshape(live, 2, n)
         # [(α − infection) − ε1·S, infection − ε2·I]
         np.subtract(both, loss, out=both)
-        if y.shape[1] > 2 * n:
-            np.add(loss[:, 0], loss[:, 1], out=out[:, 2 * n:])
+        np.add(loss[:, 0], loss[:, 1], out=out[:, 2 * n:])
         return out
 
     # -- simulation ------------------------------------------------------------
@@ -245,12 +241,9 @@ class BatchedHeterogeneousSIR:
         ``method`` is ``"dopri45"`` (default) or ``"rk4"``; the grid
         arguments mirror :meth:`HeterogeneousSIRModel.simulate`.
 
-        dopri45 carries only (S, I), as the scalar model does, and
-        rebuilds R from the per-group conservation law
-        ``S + I + R = (S0 + I0 + R0) + α·(t − t0)``, with the totals at
-        the first output time ``t0``; R stays in the error norm, so each
-        row takes the scalar path's steps.  rk4 integrates the full
-        state, bitwise equal to scalar runs.  Either way an
+        dopri45 runs each row in the compiled kernel, as the scalar
+        model does (see :mod:`repro.numerics.system1`); rk4 integrates
+        the full state, bitwise equal to scalar runs.  Either way an
         ``IntegrationError`` trips the observer's ``integration`` alarm
         and a clean run heals it, as in
         :meth:`HeterogeneousSIRModel.simulate`.
@@ -287,16 +280,14 @@ class BatchedHeterogeneousSIR:
             grid = np.asarray(t_eval, dtype=float)
         options = dict(solver_options)
         if method == "dopri45":
-            total = y0[:, :n] + y0[:, n:2 * n] + y0[:, 2 * n:]
-            alpha = np.broadcast_to(self.alpha, (self.batch_size,))
-            options["dropped"] = Dropped(total, alpha)
-            carried = y0[:, :2 * n]
-        else:
-            carried = y0
+            options["system1"] = System1(
+                self._phi, self._mean_degree, self.lambda_k,
+                np.broadcast_to(self.alpha, (self.batch_size,)),
+                self.eps1, self.eps2)
         observer = get_observer()
         context = {"where": "batched.simulate", "rows": self.batch_size}
         try:
-            solution = integrate_batched(self.rhs, carried, grid,
+            solution = integrate_batched(self.rhs, y0, grid,
                                          method=method, **options)
         except IntegrationError as error:
             # As in HeterogeneousSIRModel.simulate: a blow-up unwinds
@@ -307,8 +298,6 @@ class BatchedHeterogeneousSIR:
             raise
         if observer is not None:
             observer.health.check_integration(str(method), context=context)
-        if method == "dopri45":
-            solution.y[0] = y0  # R0 exactly, not rebuilt
         return solution
 
     # -- analysis accessors ----------------------------------------------------

@@ -23,7 +23,8 @@ import numpy as np
 from repro.core.parameters import RumorModelParameters
 from repro.core.state import RumorTrajectory, SIRState
 from repro.exceptions import IntegrationError, ParameterError
-from repro.numerics.ode import Dropped, integrate
+from repro.numerics.ode import integrate
+from repro.numerics.system1 import System1
 from repro.obs.trace import get_observer
 
 __all__ = ["HeterogeneousSIRModel", "as_control"]
@@ -86,15 +87,13 @@ class HeterogeneousSIRModel:
                   out: np.ndarray) -> np.ndarray:
         """System (1)'s (S, I) derivatives, written into ``out[:2n]``.
 
-        Every scalar evaluation passes here: :meth:`rhs` and
-        :meth:`rhs_constant` append R's derivative on the full state,
-        and constant-control dopri45 runs integrate (S, I) alone.  The
-        operations are those of
+        :meth:`rhs` and :meth:`rhs_constant` pass here and append R's
+        derivative.  The operations are those of
         :meth:`repro.core.batched.BatchedHeterogeneousSIR.rhs` for one
-        row, in the same order, so a stacked row and a solo run take the
-        same steps.  Θ uses an elementwise product followed by numpy's
-        pairwise summation (not a BLAS dot) because that reduction is
-        bitwise-reproducible row by row.
+        row, in the same order, so fixed-grid runs are bitwise equal
+        solo and stacked.  Θ uses an elementwise product followed by
+        numpy's pairwise summation (not a BLAS dot) because that
+        reduction is bitwise-reproducible row by row.
         """
         n = self._n
         s = y[:n]
@@ -126,12 +125,7 @@ class HeterogeneousSIRModel:
         return out
 
     def rhs_constant(self, eps1: float, eps2: float) -> Callable[[float, np.ndarray], np.ndarray]:
-        """Closed-over RHS with constant controls (fast path for solvers).
-
-        ``f(t, y)`` takes the flat ``(3n,)`` state, or the ``(2n,)``
-        (S, I) state that :meth:`simulate` integrates under dopri45, for
-        which it returns the (S, I) derivatives alone.
-        """
+        """Closed-over RHS with constant controls on the flat ``(3n,)`` state."""
         e1 = float(eps1)
         e2 = float(eps2)
         if e1 < 0 or e2 < 0:
@@ -142,8 +136,7 @@ class HeterogeneousSIRModel:
 
         def f(_t: float, y: np.ndarray) -> np.ndarray:
             out = rhs_into(y, e1, e2, np.empty_like(y))
-            if y.size > two_n:
-                out[two_n:] = e1 * y[:n] + e2 * y[n:two_n]
+            out[two_n:] = e1 * y[:n] + e2 * y[n:two_n]
             return out
 
         return f
@@ -193,7 +186,6 @@ class HeterogeneousSIRModel:
             grid = np.asarray(t_eval, dtype=float)
 
         y0 = initial.pack()
-        carried = y0
         options = dict(solver_options)
         if callable(eps1) or callable(eps2):
             e1 = as_control(eps1, "eps1")
@@ -202,16 +194,14 @@ class HeterogeneousSIRModel:
         else:
             f = self.rhs_constant(eps1, eps2)
             if method == "dopri45":
-                # Carry (S, I) and rebuild R from the conservation law
-                # S + I + R = (S0 + I0 + R0) + α·(t − t0), keeping R in
-                # the error norm (see repro.numerics.ode.Dropped).
-                options["dropped"] = Dropped(
-                    initial.susceptible + initial.infected
-                    + initial.recovered, self._alpha)
-                carried = y0[:2 * self._n]
+                # The compiled kernel solves it, calling f once to check
+                # these constants against it (see repro.numerics.system1).
+                options["system1"] = System1(
+                    self._phi, self._mean_degree, self._lam,
+                    np.array([self._alpha]), np.array([float(eps1)]),
+                    np.array([float(eps2)]))
         try:
-            solution = integrate(f, carried, grid, method=method,
-                                 **options)
+            solution = integrate(f, y0, grid, method=method, **options)
         except IntegrationError as error:
             # A blow-up unwinds before any trajectory exists, so the
             # result-level checks below never see it; report it as its
@@ -222,8 +212,6 @@ class HeterogeneousSIRModel:
                     str(method), error,
                     context={"where": "model.simulate"})
             raise
-        if carried is not y0:
-            solution.y[0] = y0  # R0 exactly, not rebuilt
         observer = get_observer()
         if observer is not None:
             observer.health.check_integration(

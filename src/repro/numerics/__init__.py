@@ -6,7 +6,6 @@ Public surface::
     from repro.numerics import integrate, rk4, dopri45, brent, trapezoid
 """
 
-from repro.numerics.implicit import backward_euler, newton_solve_step, trapezoidal
 from repro.numerics.interpolate import GridFunction, linear_interp
 from repro.numerics.ode import (
     SOLVERS,
@@ -60,7 +59,4 @@ __all__ = [
     "MinimizeResult",
     "golden_section",
     "coordinate_descent",
-    "backward_euler",
-    "trapezoidal",
-    "newton_solve_step",
 ]

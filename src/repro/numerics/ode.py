@@ -10,8 +10,8 @@ library therefore ships:
   the forward–backward sweep (both passes must share one time grid),
 * :func:`dopri45` — adaptive Dormand–Prince 5(4) with PI step-size control
   and dense output via 4th-order Hermite interpolation (library default);
-  with :class:`Dropped` it carries System (1) as (S, I), 1696 values on
-  the Digg network, and keeps the rebuilt R in its error norm,
+  with ``system1=`` it solves System (1) in the compiled kernel of
+  :mod:`repro.numerics.system1`,
 * :func:`solve_ivp_scipy` — thin wrapper over ``scipy.integrate.odeint``
   (LSODA) kept as an independent cross-check backend.
 
@@ -29,6 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.exceptions import IntegrationError, ParameterError
+from repro.numerics import system1 as kernel
+from repro.numerics.system1 import System1
 from repro.obs.trace import get_observer
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
     "euler",
     "rk4",
     "dopri45",
-    "Dropped",
     "solve_ivp_scipy",
     "integrate",
     "SOLVERS",
@@ -59,9 +60,12 @@ class SolverStats:
     nfev:
         Right-hand-side evaluations (same value as ``OdeSolution.nfev``).
     warmup_nfev:
-        Evaluations spent before the step loop (initial-step heuristic
-        and FSAL seeding).  For :func:`dopri45` the exact accounting
-        ``nfev == warmup_nfev + 6 * (accepted + rejected)`` holds.
+        Evaluations spent before the step loop: 2 for :func:`dopri45`'s
+        initial-step heuristic, whose ``f(t0, y0)`` seeds the FSAL slot,
+        or 1 with ``h_init``.  For :func:`dopri45` the exact accounting
+        ``nfev == warmup_nfev + 6 * (accepted + rejected)`` holds; the
+        compiled System (1) kernel counts the evaluations it makes, not
+        the one call of ``f`` that checks its slope.
     h_min, h_max:
         Smallest/largest *accepted* step size.
     wall_seconds:
@@ -308,85 +312,12 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-@dataclass(frozen=True)
-class Dropped:
-    """A state block an adaptive solver leaves out, and the law that rebuilds it.
-
-    System (1) conserves ``S_i + I_i + R_i − α·t`` in every degree group,
-    and R feeds back into neither dS nor dI.  Its solvers therefore carry
-    only (S, I) and rebuild ``R = (total + α·(t − t0)) − S − I`` from
-    the totals at the first output time ``t0``.  Generally: the carried
-    state is two blocks ``(a, b)`` of ``total``'s width ``n``, and the
-    dropped block is ``(total + rate·(t − t0)) − a − b``.
-
-    :func:`dopri45` and :func:`repro.numerics.ode_batched.dopri45_batched`
-    keep the dropped block in the error norm and in the first-step
-    heuristic, so the step sequence is that of the full state.  Their
-    output appends the dropped block, rebuilt at every sample time.
-
-    Attributes
-    ----------
-    total:
-        The per-group total at ``t0 = t_eval[0]``, shape ``(n,)``, or
-        ``(B, n)`` with one row per batch row for the batched solver.
-    rate:
-        Growth rate of the total (System (1)'s α); ``(B,)`` for a batch.
-    """
-
-    total: np.ndarray
-    rate: float | np.ndarray
-
-    @property
-    def width(self) -> int:
-        """Number of dropped components ``n``."""
-        return int(np.shape(self.total)[-1])
-
-
-def _fill_dropped(total: np.ndarray | float, rate_t: np.ndarray | float,
-                  y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = ((total + rate_t) − a) − b`` for the blocks ``y = [a | b]``.
-
-    Both adaptive loops rebuild the dropped block through here, so their
-    error norms see the same arithmetic.  With ``total = 0`` and
-    ``rate_t = rate`` it gives the dropped block's derivative.
-    """
-    n = out.shape[-1]
-    np.add(total, rate_t, out=out)
-    out -= y[..., :n]
-    out -= y[..., n:]
-    return out
-
-
-def _sum_blocks(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = a + b`` for the blocks ``y = [a | b]``.
-
-    Applied to the carried error it gives minus the dropped block's
-    error; the sign does not matter once squared.
-    """
-    n = out.shape[-1]
-    return np.add(y[..., :n], y[..., n:], out=out)
-
-
-def _extend(y: np.ndarray, n: int, total: np.ndarray | float | None,
-            rate_t: np.ndarray | float) -> np.ndarray:
-    """``[y | ((total + rate_t) − a) − b]`` along the last axis.
-
-    ``y`` itself when nothing is dropped (``n == 0``).
-    """
-    if n == 0:
-        return y
-    full = np.empty(y.shape[:-1] + (y.shape[-1] + n,))
-    full[..., :-n] = y
-    _fill_dropped(total, rate_t, y, full[..., -n:])
-    return full
-
-
 def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
             t_eval: Sequence[float] | np.ndarray, *,
             rtol: float = 1e-8, atol: float = 1e-10,
             h_init: float | None = None, h_max: float | None = None,
             max_steps: int = 1_000_000,
-            dropped: Dropped | None = None) -> OdeSolution:
+            system1: System1 | None = None) -> OdeSolution:
     """Adaptive Dormand–Prince RK5(4) with PI step control.
 
     Integrates from ``t_eval[0]`` to ``t_eval[-1]``, emitting the state at
@@ -395,14 +326,19 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
     ``err = ||(y5 − y4) / (atol + rtol·max(|y|, |y_new|))||_RMS`` and a PI
     controller (``β = 0.04``) smooths step-size changes.
 
-    ``dropped`` (see :class:`Dropped`) names a block the state ``y0``
-    leaves out: it is rebuilt from its conservation law at every step
-    and kept in the error norm, and the output appends it to ``y0``'s
-    blocks.
+    ``system1`` (a one-row :class:`~repro.numerics.system1.System1`)
+    says that ``f`` is paper System (1) on the ``(3n,)`` state
+    ``y0 = [S | I | R]`` under constant controls.  The compiled kernel
+    then runs the whole solve under this control law, on (S, I) with R
+    rebuilt from the conservation law and kept in the error norm; its
+    stats carry no step history.  ``f`` is called once, at ``t0``, and a
+    slope there other than the kernel's raises
+    :class:`~repro.exceptions.ParameterError`.  Without the kernel (no C
+    compiler) the Python loop integrates ``f`` on the full state.
 
-    Every array operation is the one :func:`~repro.numerics.ode_batched.
-    dopri45_batched` applies to each of its rows, in the same order, so
-    the two loops take the same steps.
+    Every array operation of the loop is the one
+    :func:`~repro.numerics.ode_batched.dopri45_batched` applies to each
+    of its rows, in the same order, so the two loops take the same steps.
 
     Raises :class:`~repro.exceptions.IntegrationError` on step-size
     underflow, NaN states, or step-budget exhaustion.
@@ -414,40 +350,37 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
     span = tf - t0
     if h_max is None:
         h_max = span
+    if h_init is not None and h_init <= 0:
+        raise ParameterError("h_init must be positive")
+    if system1 is not None and kernel.library() is not None:
+        return _dopri45_system1(f, system1, y0, grid, start, rtol=rtol,
+                                atol=atol, h_init=h_init, h_max=h_max,
+                                max_steps=max_steps)
     dim = y0.size
-    if dropped is None:
-        n_drop, total, rate = 0, None, 0.0
-    else:
-        total = np.asarray(dropped.total, dtype=float)
-        n_drop, rate = total.size, float(dropped.rate)
-    width = dim + n_drop
     if h_init is None:
-        h = _initial_step(f, t0, y0, rtol, atol, h_max, n_drop, total, rate)
+        h, f0 = _initial_step(f, t0, y0, rtol, atol, h_max)
         nfev = 2
     else:
-        if h_init <= 0:
-            raise ParameterError("h_init must be positive")
         h = min(h_init, h_max)
-        nfev = 0
+        f0 = f(t0, y0)
+        nfev = 1
 
-    # Workspaces.  ``full`` holds [y | dropped block] and ``full5`` the
-    # same at the trial point; they swap on every accepted step.
-    # ``size`` and ``size5`` hold their absolute values.
-    full = _extend(y0, n_drop, total, 0.0).copy()
-    out = np.empty((grid.size, width))
-    out[0] = full
+    # Workspaces.  ``y`` and ``y5`` (the trial point) swap on every
+    # accepted step, as do ``size`` and ``size5``, their absolute values.
+    y = y0.copy()
+    out = np.empty((grid.size, dim))
+    out[0] = y
     next_output = 1  # index into grid of the next output point to fill
-    full5 = np.empty(width)
-    size = np.abs(full)
-    size5 = np.empty(width)
-    err_vec = np.empty(width)
-    scale = np.empty(width)
+    y5 = np.empty(dim)
+    size = np.abs(y)
+    size5 = np.empty(dim)
+    err_vec = np.empty(dim)
+    scale = np.empty(dim)
     k = np.empty((7, dim))
     y_stage = np.empty(dim)
 
     t = t0
-    k[0] = f(t, y0)
-    nfev += 1
+    k[0] = f0
     warmup_nfev = nfev
     accepted = rejected = 0
     step_sizes: list[float] = []
@@ -460,11 +393,10 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
         if t >= tf:
             break
         h = min(h, tf - t, h_max)
-        if h < 1e-14 * max(abs(t), 1.0):
+        if not h >= 1e-14 * max(abs(t), 1.0):  # a NaN step too
             raise IntegrationError(
                 f"dopri45 step size underflow at t={t:.6g} (h={h:.3g})"
             )
-        y = full[:dim]
         # Stage evaluations (FSAL: k[0] holds f(t, y)).
         for stage in range(1, 7):
             np.matmul(_DP_A[stage], k[:stage], out=y_stage)
@@ -472,36 +404,27 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
             y_stage += y
             k[stage] = f(t + _DP_C[stage] * h, y_stage)
         nfev += 6
-        y5 = full5[:dim]
         np.matmul(_DP_B5, k, out=y5)
         y5 *= h
         np.matmul(_DP_B4, k, out=y_stage)
         y_stage *= h
-        if n_drop:
-            # The dropped block's error from the increments, before y is
-            # added: the block starts near zero in System (1), where the
-            # rounding of y5 − y4 would swamp its small error scale.
-            np.subtract(y5, y_stage, out=err_vec[:dim])
-            _sum_blocks(err_vec[:dim], err_vec[dim:])
         y5 += y
         y_stage += y                            # y4
-        np.subtract(y5, y_stage, out=err_vec[:dim])
-        if n_drop:
-            _fill_dropped(total, rate * ((t + h) - t0), y5, full5[dim:])
+        np.subtract(y5, y_stage, out=err_vec)
         # err = RMS((y5 − y4) / (atol + rtol·max(|y|, |y5|))), with
         # np.mean's pairwise sum.
-        np.abs(full5, out=size5)
+        np.abs(y5, out=size5)
         np.maximum(size, size5, out=scale)
         scale *= rtol
         scale += atol
         err_vec /= scale
         np.multiply(err_vec, err_vec, out=err_vec)
-        err = math.sqrt(float(np.add.reduce(err_vec)) / width)
+        err = math.sqrt(float(np.add.reduce(err_vec)) / dim)
         if not math.isfinite(err) and not np.all(np.isfinite(y5)):
             # Shrink aggressively and retry rather than aborting outright.
             rejected += 1
             h *= 0.25
-            if h < 1e-14 * max(abs(t), 1.0):
+            if not h >= 1e-14 * max(abs(t), 1.0):
                 raise IntegrationError(f"dopri45 produced non-finite state at t={t:.6g}")
             continue
         if err <= 1.0:
@@ -510,12 +433,12 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
             step_sizes.append(h)
             t_new = t + h
             while next_output < grid.size and grid[next_output] <= t_new + 1e-14:
-                out[next_output, :dim] = _hermite(
+                out[next_output] = _hermite(
                     t, t_new, y, y5, k[0], k[6], grid[next_output]
                 )
                 next_output += 1
             t = t_new
-            full, full5 = full5, full
+            y, y5 = y5, y
             size, size5 = size5, size
             k[0] = k[6]  # FSAL: last stage is f(t_new, y5)
             # PI controller.
@@ -533,10 +456,7 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
 
     if next_output < grid.size:
         # Numerical edge: final grid point equals tf within round-off.
-        out[next_output:, :dim] = full[:dim]
-    if n_drop:
-        _fill_dropped(total, rate * (grid - t0)[:, None], out[:, :dim],
-                      out[:, dim:])
+        out[next_output:] = y
     _check_finite(out, "dopri45")
     history = np.asarray(step_sizes)
     stats = SolverStats(
@@ -549,30 +469,68 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
     return OdeSolution(grid, out, nfev, "dopri45", stats=stats)
 
 
+def _dopri45_system1(f: RhsFunction, system1: System1, y0: np.ndarray,
+                     grid: np.ndarray, start: float, *, rtol: float,
+                     atol: float, h_init: float | None, h_max: float,
+                     max_steps: int) -> OdeSolution:
+    """:func:`dopri45` on System (1) as a kernel batch of one."""
+    # The Python loop spends its last iteration on the exit test, so it
+    # attempts at most max_steps − 1 steps.
+    with np.errstate(all="ignore"):
+        slope = np.asarray(f(grid[0], y0), dtype=float)
+    run = kernel.run(system1, y0[None], grid, slope=slope[None], rtol=rtol,
+                     atol=atol, h_init=h_init, h_max=h_max,
+                     max_attempts=max_steps - 1)
+    if run.status == kernel.MISMATCH:
+        raise ParameterError(
+            "dopri45: system1 does not describe f: their slopes at "
+            f"t={grid[0]:.6g} differ")
+    if run.status == kernel.UNDERFLOW:
+        raise IntegrationError(
+            f"dopri45 step size underflow at t={run.t:.6g} (h={run.h:.3g})")
+    if run.status == kernel.NONFINITE:
+        raise IntegrationError(
+            f"dopri45 produced non-finite state at t={run.t:.6g}")
+    if run.status == kernel.EXHAUSTED:
+        raise IntegrationError(
+            f"dopri45 exhausted {max_steps} steps before reaching "
+            f"t={grid[-1]}")
+    out = run.y[:, 0]
+    _check_finite(out, "dopri45")
+    accepted, rejected = int(run.accepted[0]), int(run.rejected[0])
+    warmup_nfev = 2 if h_init is None else 1
+    nfev = warmup_nfev + 6 * (accepted + rejected)
+    stats = SolverStats(
+        accepted=accepted, rejected=rejected, nfev=nfev,
+        warmup_nfev=warmup_nfev, h_min=float(run.h_min[0]),
+        h_max=float(run.h_max[0]),
+        wall_seconds=time.perf_counter() - start)
+    _emit_solver_event("dopri45", y0.size, stats)
+    return OdeSolution(grid, out, nfev, "dopri45", stats=stats)
+
+
 def _initial_step(f: RhsFunction, t0: float, y0: np.ndarray,
-                  rtol: float, atol: float, h_max: float, n_drop: int = 0,
-                  total: np.ndarray | None = None,
-                  rate: float = 0.0) -> float:
+                  rtol: float, atol: float,
+                  h_max: float) -> tuple[float, np.ndarray]:
     """Hairer–Nørsett–Wanner heuristic for the first step size.
 
-    A dropped block (``n_drop`` components, see :class:`Dropped`) joins
-    the norms with its values and slopes, as on the full state.
+    Returns the step and ``f(t0, y0)``, which seeds the FSAL slot.
     """
-    full0 = _extend(y0, n_drop, total, 0.0)
-    scale = atol + rtol * np.abs(full0)
+    scale = atol + rtol * np.abs(y0)
     f0 = f(t0, y0)
-    slope0 = _extend(f0, n_drop, 0.0, rate)
-    d0 = math.sqrt(float(np.mean((full0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((slope0 / scale) ** 2)))
+    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
+    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
-    slope1 = _extend(f(t0 + h0, y1), n_drop, 0.0, rate)
-    d2 = math.sqrt(float(np.mean(((slope1 - slope0) / scale) ** 2))) / h0
+    f1 = f(t0 + h0, y1)
+    # h0 is 0 only when f0 overflows (d1 = inf), and then h1 is 0 anyway.
+    d2 = (math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+          if h0 > 0 else math.inf)
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / 5.0)
-    return min(100.0 * h0, h1, h_max)
+    return min(100.0 * h0, h1, h_max), f0
 
 
 def _hermite(t0: float, t1: float, y0: np.ndarray, y1: np.ndarray,

@@ -20,7 +20,9 @@ whole batch through one solver loop, so every numpy call operates on
   controller state, and accept/reject decision, mirroring the scalar
   :func:`repro.numerics.ode.dopri45` control law row by row.  Rows that
   reach the end of the horizon are *frozen* — removed from the live
-  batch — so a few stiff rows do not force full-batch work.
+  batch — so a few stiff rows do not force full-batch work.  With
+  ``system1=`` the rows of paper System (1) run in the compiled kernel
+  of :mod:`repro.numerics.system1` instead.
 
 The adaptive solver keeps its work in reused buffers.  Stage slopes
 live in a ``(B, 7, d)`` workspace, so each row's stage combinations are
@@ -64,20 +66,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.exceptions import IntegrationError, ParameterError
+from repro.numerics import system1 as kernel
 from repro.numerics.ode import (
-    Dropped,
     OdeSolution,
     SolverStats,
     _DP_A,
     _DP_B4,
     _DP_B5,
     _DP_C,
-    _extend,
-    _fill_dropped,
     _hermite,
-    _sum_blocks,
     _validate_grid,
 )
+from repro.numerics.system1 import System1
 from repro.obs.trace import get_observer
 
 __all__ = [
@@ -343,30 +343,24 @@ def rk4_batched(f: BatchedRhsFunction, y0: np.ndarray,
 
 def _initial_step_batched(rhs: _RhsAdapter, t0: float, y0: np.ndarray,
                           rows: np.ndarray, rtol: float, atol: float,
-                          h_max: float, f0_out: np.ndarray, n_drop: int,
-                          total: np.ndarray | None,
-                          rate: np.ndarray) -> np.ndarray:
+                          h_max: float, f0_out: np.ndarray) -> np.ndarray:
     """Hairer–Nørsett–Wanner first-step heuristic, one value per row.
 
     ``f0_out`` receives ``f(t0, y0)`` so the caller can seed the FSAL
-    slot without re-evaluating.  A dropped block joins the norms as in
-    the scalar :func:`~repro.numerics.ode._initial_step`.
+    slot without re-evaluating.
     """
     batch = y0.shape[0]
-    full0 = _extend(y0, n_drop, total, 0.0)
-    scale = atol + rtol * np.abs(full0)
+    scale = atol + rtol * np.abs(y0)
     rhs(np.full(batch, t0), y0, rows, f0_out)
     f0 = f0_out
-    slope0 = _extend(f0, n_drop, 0.0, rate)
-    d0 = np.sqrt(np.mean((full0 / scale) ** 2, axis=1))
-    d1 = np.sqrt(np.mean((slope0 / scale) ** 2, axis=1))
+    d0 = np.sqrt(np.mean((y0 / scale) ** 2, axis=1))
+    d1 = np.sqrt(np.mean((f0 / scale) ** 2, axis=1))
     small = (d0 < 1e-5) | (d1 < 1e-5)
     h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(d1 > 0, d1, 1.0))
     y1 = y0 + h0[:, None] * f0
     f1 = np.empty_like(y0)
     rhs(t0 + h0, y1, rows, f1)
-    slope1 = _extend(f1, n_drop, 0.0, rate)
-    d2 = np.sqrt(np.mean(((slope1 - slope0) / scale) ** 2, axis=1)) / h0
+    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2, axis=1)) / h0
     dm = np.maximum(d1, d2)
     h1 = np.where(dm <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.where(dm > 0, dm, 1.0)) ** (1.0 / 5.0))
@@ -378,7 +372,7 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
                     rtol: float = 1e-8, atol: float = 1e-10,
                     h_init: float | None = None, h_max: float | None = None,
                     max_steps: int = 1_000_000,
-                    dropped: Dropped | None = None) -> BatchedOdeSolution:
+                    system1: System1 | None = None) -> BatchedOdeSolution:
     """Adaptive Dormand–Prince RK5(4) with per-row step control.
 
     Every row runs the scalar :func:`dopri45` control law independently:
@@ -388,13 +382,19 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
     live batch so the remaining rows keep full vector width without
     wasted evaluations.
 
-    ``dropped`` (see :class:`~repro.numerics.ode.Dropped`, with one
-    ``total`` row and one ``rate`` per batch row) names a block the
-    state leaves out; it stays in every row's error norm, and the output
-    appends it to the carried blocks.
+    ``system1`` (a :class:`~repro.numerics.system1.System1` with one
+    entry per row) says that ``f`` is paper System (1) on the
+    ``(B, 3n)`` state under constant controls.  The compiled kernel then
+    integrates each row on its own under the same control law, on
+    (S, I) with R rebuilt and kept in the error norm.  ``f`` is called
+    once, at ``t0``, and a row whose slope there is not the kernel's
+    raises :class:`~repro.exceptions.ParameterError`.  Without the
+    kernel (no C compiler) the Python loop integrates ``f`` on the full
+    state.
 
     ``max_steps`` bounds iterations of the *shared* step loop (one
-    iteration advances every live row at most one step).
+    iteration advances every live row at most one step), which is each
+    row's own step budget.
 
     Raises :class:`~repro.exceptions.IntegrationError` naming the first
     offending batch row on step-size underflow, non-finite states, or
@@ -408,6 +408,12 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
     span = tf - t0
     if h_max is None:
         h_max = span
+    if h_init is not None and h_init <= 0:
+        raise ParameterError("h_init must be positive")
+    if system1 is not None and kernel.library() is not None:
+        return _dopri45_batched_system1(f, system1, y, grid, start,
+                                        rtol=rtol, atol=atol, h_init=h_init,
+                                        h_max=h_max, max_steps=max_steps)
     # The clamp to tf − t already keeps h ≤ span.
     clamp_h_max = h_max < span
     # No row can underflow while every h exceeds the largest floor
@@ -415,16 +421,8 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
     h_floor = 1e-14 * max(abs(t0), abs(tf), 1.0)
     n_grid = grid.size
     rhs = _RhsAdapter(f)
-    if dropped is None:
-        n_drop, total, rate = 0, None, np.zeros((batch, 1))
-    else:
-        n_drop = dropped.width
-        total = np.broadcast_to(dropped.total, (batch, n_drop))
-        rate = np.broadcast_to(dropped.rate, (batch,))[:, None]
-    width = dim + n_drop
-    full = _extend(y, n_drop, total, 0.0).copy()
-    out = np.empty((n_grid, batch, width))
-    out[0] = full
+    out = np.empty((n_grid, batch, dim))
+    out[0] = y
     next_output = np.ones(batch, dtype=np.int64)  # per-row next grid index
     attempted_rows = np.zeros(batch, dtype=np.int64)
     rejected_rows = np.zeros(batch, dtype=np.int64)
@@ -436,13 +434,10 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
     # ``live[:m]`` maps them back to batch indices.  ``rows`` is the
     # array handed to ``f``: a copy, replaced by a new copy when rows
     # freeze, so ``f`` never sees it change.
-    # ``full`` holds [y | dropped block] and ``full5`` the same at the
-    # trial point; they swap when every row accepts.
+    # ``y`` holds the states and ``y5`` the trial points; they swap
+    # when every row accepts.
     live = np.arange(batch)
     rows = live.copy()
-    # Row copies of the dropped block's law, compacted with the rows.
-    total_live = None if total is None else total.copy()
-    rate_live = rate.copy()
     t = np.full(batch, t0)
     h = np.empty(batch)
     err_prev = np.ones(batch)
@@ -453,13 +448,12 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
     # combinations are then their own BLAS call, shaped as in the scalar
     # solver, so a row's values do not depend on its batch-mates.
     k = np.empty((batch, 7, dim))
-    full5 = np.empty((batch, width))
-    size = np.abs(full)             # |full| and |full5|
-    size5 = np.empty((batch, width))
-    err_mat = np.empty((batch, width))
-    scale = np.empty((batch, width))
+    y5 = np.empty((batch, dim))
+    size = np.abs(y)                # |y| and |y5|
+    size5 = np.empty((batch, dim))
+    err_mat = np.empty((batch, dim))
+    scale = np.empty((batch, dim))
     stage_buf = np.empty((batch, dim))
-    sum_buf = np.empty((batch, dim))
 
     m = batch
     k0_seed = k[:, 0]
@@ -467,11 +461,9 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
         # The heuristic leaves f(t0, y0) in the FSAL slot, so the first
         # step needs no extra evaluation.
         h[:] = _initial_step_batched(rhs, t0, y, rows, rtol, atol, h_max,
-                                     k0_seed, n_drop, total_live, rate_live)
+                                     k0_seed)
         warmup_nfev = 2
     else:
-        if h_init <= 0:
-            raise ParameterError("h_init must be positive")
         h[:] = min(h_init, h_max)
         rhs(t, y, rows, k0_seed)
         warmup_nfev = 1
@@ -501,7 +493,7 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
                         f"(h={hm[underflow][0]:.3g})"
                     )
             h_col = hm[:, None]
-            ym = full[:m, :dim]
+            ym = y[:m]
             km = k[:m]
             stage = stage_buf[:m]
             # Stage evaluations (FSAL: k[:, 0] already holds f(t, y)),
@@ -513,44 +505,34 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
                 stage += ym
                 rhs(stage_t[s], stage, rows, km[:, s])
             # 5th- and 4th-order solutions and their difference.
-            y5m = full5[:m, :dim]
+            y5m = y5[:m]
             errm = err_mat[:m]
-            sums = sum_buf[:m]
-            np.matmul(_DP_B5, km, out=sums)
-            sums *= h_col
+            np.matmul(_DP_B5, km, out=y5m)
+            y5m *= h_col
             np.matmul(_DP_B4, km, out=stage)
             stage *= h_col
-            if n_drop:
-                # The dropped block's error from the increments, as in
-                # the scalar solver.
-                np.subtract(sums, stage, out=errm[:, :dim])
-                _sum_blocks(errm[:, :dim], errm[:, dim:])
-            np.add(sums, ym, out=y5m)
+            y5m += ym
             stage += ym                             # y4
-            np.subtract(y5m, stage, out=errm[:, :dim])
+            np.subtract(y5m, stage, out=errm)
             t_new = tm + hm
-            if n_drop:
-                _fill_dropped(total_live[:m],
-                              rate_live[:m] * (t_new - t0)[:, None],
-                              y5m, full5[:m, dim:])
             # err = RMS((y5 − y4) / (atol + rtol·max(|y|, |y5|))), with
             # the scalar solver's pairwise mean per row.
             scm = scale[:m]
-            np.abs(full5[:m], out=size5[:m])
+            np.abs(y5m, out=size5[:m])
             np.maximum(size[:m], size5[:m], out=scm)
             scm *= rtol
             scm += atol
             errm /= scm
             np.multiply(errm, errm, out=errm)
             err = np.add.reduce(errm, axis=1)
-            err /= width
+            err /= dim
             np.sqrt(err, out=err)
 
             if err.max() <= 1.0:
                 # Every row accepts (a NaN fails the comparison).
                 acc = None
             else:
-                acc = _reject_rows(err, full5[:m, :dim], hm, tm, live[:m],
+                acc = _reject_rows(err, y5m, hm, tm, live[:m],
                                    rejected_rows)
                 if acc.size == 0:
                     continue
@@ -569,7 +551,7 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
                 row = live[i]
                 no = next_output[row]
                 while no < n_grid and grid[no] <= t_new[i] + 1e-14:
-                    out[no, row, :dim] = _hermite(
+                    out[no, row] = _hermite(
                         tm[i], t_new[i], ym[i], y5m[i], km[i, 0], km[i, 6],
                         grid[no])
                     no += 1
@@ -581,7 +563,7 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
             # their PI controllers (scalar formulas, per row).
             if acc is None:
                 tm[:] = t_new
-                full, full5 = full5, full
+                y, y5 = y5, y
                 size, size5 = size5, size
                 km[:, 0] = km[:, 6]
                 np.maximum(err, 1e-10, out=err)
@@ -594,7 +576,7 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
                 hm *= factor
             else:
                 tm[acc] = t_new[acc]
-                full[acc] = full5[acc]
+                y[acc] = y5[acc]
                 size[acc] = size5[acc]
                 km[acc, 0] = km[acc, 6]
                 err_acc = np.maximum(err[acc], 1e-10)
@@ -611,7 +593,7 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
                     row = live[i]
                     if next_output[row] < n_grid:
                         # Final grid point equal to tf within round-off.
-                        out[next_output[row]:, row, :dim] = full[i, :dim]
+                        out[next_output[row]:, row] = y[i]
                         next_output[row] = n_grid
                     attempted_rows[row] = steps
                     h_min_rows[row] = h_lo[i]
@@ -620,20 +602,15 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
                 keep = np.delete(np.arange(m), done)
                 new_m = keep.size
                 if new_m:
-                    for buf in (full, size, t, h, err_prev, h_lo, h_hi,
-                                next_time, live, rate_live):
+                    for buf in (y, size, t, h, err_prev, h_lo, h_hi,
+                                next_time, live):
                         buf[:new_m] = buf[keep]
-                    if n_drop:
-                        total_live[:new_m] = total_live[keep]
                     k[:new_m, 0] = k[keep, 0]
                     rows = live[:new_m].copy()
                 m = new_m
     finally:
         np.seterr(**old_err)
 
-    if n_drop:
-        _fill_dropped(total, rate * (grid - t0)[:, None, None],
-                      out[..., :dim], out[..., dim:])
     _check_finite_batch(out, "dopri45-batched")
     nfev_rows = warmup_nfev + 6 * attempted_rows
     stats = BatchedSolverStats(
@@ -645,6 +622,50 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
     _emit_batched_solver_event("dopri45-batched", dim, batch, nfev_rows,
                                stats)
     return BatchedOdeSolution(grid, out, nfev_rows, "dopri45-batched",
+                              stats=stats)
+
+
+def _dopri45_batched_system1(f: BatchedRhsFunction, system1: System1,
+                             y0: np.ndarray, grid: np.ndarray, start: float,
+                             *, rtol: float, atol: float,
+                             h_init: float | None, h_max: float,
+                             max_steps: int) -> BatchedOdeSolution:
+    """:func:`dopri45_batched` on System (1), each row in the kernel."""
+    batch, dim = y0.shape
+    slope = np.empty_like(y0)
+    with np.errstate(all="ignore"):
+        _RhsAdapter(f)(np.full(batch, grid[0]), y0, np.arange(batch), slope)
+    run = kernel.run(system1, y0, grid, slope=slope, rtol=rtol, atol=atol,
+                     h_init=h_init, h_max=h_max, max_attempts=max_steps)
+    if run.status == kernel.MISMATCH:
+        raise ParameterError(
+            f"dopri45-batched: system1 does not describe f: their slopes "
+            f"at t={grid[0]:.6g} differ for batch row {run.row}")
+    if run.status == kernel.UNDERFLOW:
+        raise IntegrationError(
+            f"dopri45-batched step size underflow for batch row {run.row} "
+            f"at t={run.t:.6g} (h={run.h:.3g})")
+    if run.status == kernel.NONFINITE:
+        raise IntegrationError(
+            f"dopri45-batched produced non-finite state for batch row "
+            f"{run.row} at t={run.t:.6g}")
+    if run.status == kernel.EXHAUSTED:
+        raise IntegrationError(
+            f"dopri45-batched exhausted {max_steps} steps "
+            f"with {run.stuck} of {batch} rows unfinished (first "
+            f"stuck row {run.row} at t={run.t:.6g})")
+    _check_finite_batch(run.y, "dopri45-batched")
+    warmup_nfev = 2 if h_init is None else 1
+    attempted = run.accepted + run.rejected
+    nfev_rows = warmup_nfev + 6 * attempted
+    stats = BatchedSolverStats(
+        accepted_rows=run.accepted, rejected_rows=run.rejected,
+        warmup_nfev=warmup_nfev, h_min_rows=run.h_min,
+        h_max_rows=run.h_max, loop_steps=int(attempted.max()),
+        wall_seconds=time.perf_counter() - start)
+    _emit_batched_solver_event("dopri45-batched", dim, batch, nfev_rows,
+                               stats)
+    return BatchedOdeSolution(grid, run.y, nfev_rows, "dopri45-batched",
                               stats=stats)
 
 

@@ -11,8 +11,9 @@ batch; then the whole window dispatches at once —
 1. requests with the same spec hash **coalesce** (one integration, every
    waiter gets the shared result);
 2. distinct specs sharing a :meth:`~repro.serve.spec.ScenarioSpec.batch_key`
-   **stack** into one integration of B rows (``(B, 2n)`` (S, I) under
-   dopri45, ``(B, 3n)`` under rk4);
+   **stack** into one integration of B rows (under dopri45 the
+   compiled System (1) kernel integrates each row on its own, so a
+   stacked answer equals the solo one bit for bit);
 3. everything else (control requests, incompatible networks) runs on
    the scalar path — as does any group of size 1, which keeps a lone
    request bitwise identical to calling the model directly.

@@ -48,8 +48,9 @@ __all__ = ["NUMERICS_VERSION", "ResultCache", "encode_result"]
 #: blobs under ``numerics-<version>/``, so blobs written by older code
 #: are never read.  Not part of ``spec_hash``, which names the question.
 #: Version 1 (no subdirectory) integrated System (1) on the full
-#: (S, I, R) state; version 2 carries (S, I) and rebuilds R.
-NUMERICS_VERSION = 2
+#: (S, I, R) state; version 2 carries (S, I) and rebuilds R; version 3
+#: solves it in the compiled kernel (:mod:`repro.numerics.system1`).
+NUMERICS_VERSION = 3
 
 
 def encode_result(result: Mapping[str, object]) -> bytes:

@@ -76,9 +76,9 @@ class TestSolverStats:
         stats = sol.stats
         assert stats is not None
         assert stats.accepted > 0
-        # Warmup: 2 evals for the Hairer h0 heuristic + 1 for the first
-        # FSAL stage when h_init is not given.
-        assert stats.warmup_nfev == 3
+        # Warmup: 2 evals for the Hairer h0 heuristic, whose f(t0, y0)
+        # seeds the first FSAL stage when h_init is not given.
+        assert stats.warmup_nfev == 2
         assert sol.nfev == stats.nfev
         assert stats.nfev == stats.warmup_nfev + 6 * stats.total_steps
         assert stats.total_steps == stats.accepted + stats.rejected

@@ -119,6 +119,22 @@ class TestDopri45:
         with pytest.raises(ParameterError):
             dopri45(exponential_decay, [1.0], GRID, h_init=-1.0)
 
+    def test_initial_state_evaluated_once(self):
+        """The first-step heuristic's f(t0, y0) seeds the FSAL slot, so
+        nfev counts every call and the first state is evaluated once."""
+        calls = []
+
+        def rhs(t, y):
+            calls.append((t, y.copy()))
+            return exponential_decay(t, y)
+
+        sol = dopri45(rhs, [1.0], GRID)
+        at_start = [c for c in calls
+                    if c[0] == GRID[0] and np.array_equal(c[1], [1.0])]
+        assert len(at_start) == 1
+        assert sol.nfev == len(calls)
+        assert sol.stats.warmup_nfev == 2
+
     def test_blowup_raises(self):
         def rhs(_t: float, y: np.ndarray) -> np.ndarray:
             return y * y  # finite-time blowup from y0=2 at t=0.5

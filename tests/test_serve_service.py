@@ -107,8 +107,8 @@ class TestResultCache:
         ResultCache(disk_dir=tmp_path).put(key, {"kind": "trajectory"})
         blobs = [path.relative_to(tmp_path).as_posix()
                  for path in tmp_path.rglob("*.json")]
-        assert NUMERICS_VERSION == 2
-        assert blobs == [f"numerics-2/{key}.json"]
+        assert NUMERICS_VERSION == 3
+        assert blobs == [f"numerics-3/{key}.json"]
 
     def test_blob_from_older_numerics_is_not_served(self, tmp_path):
         """A blob at the unversioned path (numerics version 1) is never
@@ -116,6 +116,24 @@ class TestResultCache:
         spec = small_spec()
         key = spec.spec_hash()
         (tmp_path / f"{key}.json").write_bytes(
+            encode_result({"kind": "trajectory", "stale": True}))
+        cache = ResultCache(disk_dir=tmp_path)
+        assert cache.get(key) is None
+        assert key not in cache
+        assert cache.disk_status()["blobs"] == 0
+        with ScenarioService(cache=cache, window_seconds=0.0) as service:
+            response = service.query(spec, timeout=60.0)
+        assert response.cache == "miss"
+        assert "stale" not in response.result
+        assert cache.disk_status()["blobs"] == 1
+
+    def test_blob_from_numerics_2_is_not_served(self, tmp_path):
+        """A blob written by the NumPy (S, I) loops (numerics version 2)
+        is never read, and the disk status does not count it."""
+        spec = small_spec()
+        key = spec.spec_hash()
+        (tmp_path / "numerics-2").mkdir()
+        (tmp_path / "numerics-2" / f"{key}.json").write_bytes(
             encode_result({"kind": "trajectory", "stale": True}))
         cache = ResultCache(disk_dir=tmp_path)
         assert cache.get(key) is None
