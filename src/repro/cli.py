@@ -303,21 +303,14 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.obs.manifest import NullSink
-    from repro.obs.trace import get_observer, observing
     from repro.serve.http import run_server
 
-    kwargs = dict(window_seconds=args.batch_window,
-                  max_batch=args.max_batch,
-                  cache_entries=args.cache_entries,
-                  cache_dir=args.cache_dir,
-                  status_interval=args.status_interval)
-    if get_observer() is not None:
-        return run_server(args.host, args.port, **kwargs)
-    # No --trace-out/--progress: install a metrics-only observer (events
-    # dropped) so GET /metrics works on a bare `repro serve`.
-    with observing(None, sink=NullSink(), run={"command": "serve"}):
-        return run_server(args.host, args.port, **kwargs)
+    return run_server(args.host, args.port,
+                      window_seconds=args.batch_window,
+                      max_batch=args.max_batch,
+                      cache_entries=args.cache_entries,
+                      cache_dir=args.cache_dir,
+                      status_interval=args.status_interval)
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
@@ -389,15 +382,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         "obs": _cmd_obs,
     }
     set_level(args.log_level)
-    wants_observer = (args.trace_out is not None or args.progress
+    serve = args.command == "serve"
+    wants_observer = (serve or args.trace_out is not None or args.progress
                       or args.profile_resources or args.profile_phases)
     if args.command == "obs" or not wants_observer:
         return handlers[args.command](args)
     run_info = {"command": args.command, "argv": list(argv or sys.argv[1:])}
     run_trace = new_trace_id()
     run_info["trace_id"] = run_trace
+    sink = None
+    if serve and args.trace_out is None:
+        # The daemon always runs observed, so GET /metrics counts, but
+        # without a manifest it drops its events rather than keep them
+        # in memory for its whole life.
+        from repro.obs.manifest import NullSink
+        sink = NullSink()
     with observing(args.trace_out, progress=args.progress, run=run_info,
-                   resources=args.profile_resources,
+                   sink=sink, resources=args.profile_resources,
                    profile=args.profile_phases):
         # Run-scoped trace id: every event the run emits carries it, so
         # `repro obs report --trace <id>` can reconstruct a whole run the

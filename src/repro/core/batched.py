@@ -305,12 +305,19 @@ class BatchedHeterogeneousSIR:
                    row: int) -> RumorTrajectory:
         """Row ``row``'s trajectory as a :class:`RumorTrajectory`.
 
+        The trajectory is built on the view ``solution.y[:, row, :]``,
+        not a copy: it shares memory with the batch output, so writing
+        to either changes both.  Its accessors' reductions equal those
+        of a contiguous copy bitwise.
+
         The trajectory carries the *shared* ``params`` object; per-row
         α/λ overrides do not affect its accessors (they only weight the
         compartment matrices by φ(k) and P(k)).
         """
-        scalar = solution.solution(row)
-        return RumorTrajectory(self.params, scalar.t, scalar.y)
+        if not -solution.batch_size <= row < solution.batch_size:
+            raise ParameterError(
+                f"row {row} out of range for batch of {solution.batch_size}")
+        return RumorTrajectory(self.params, solution.t, solution.y[:, row, :])
 
     def population_infected(self, solution: BatchedOdeSolution) -> np.ndarray:
         """Population infected density Σ_i P(k_i) I_{b,i}(t), shape ``(m, B)``."""

@@ -11,17 +11,23 @@ side once, at ``t0``, and the kernel refuses constants whose slope
 there is not that one; the integration itself never calls it.
 
 The source is compiled on first use with the platform C compiler
-(``sysconfig``'s ``CC``) and :data:`FLAGS` — no ``-march=native`` and no
-``-ffast-math``, so results do not depend on the host's FMA units — into
-a shared library named for a hash of the source, the flags and the
-machine.  The library lives in this package's ``__pycache__``, or in the
-user's cache directory (``$XDG_CACHE_HOME`` or ``~/.cache``, under
-``repro-kernels``) when that is read-only, so a checkout compiles it
-once and later processes load it.  A directory that anyone but its
-owner, this user or root, can write is neither read nor written, so no
-other user can plant a library there.  It is called through
-:mod:`ctypes`, which releases the GIL for the call; the kernel allocates
-its workspace per call, so concurrent calls share nothing mutable.
+(``sysconfig``'s ``CC``) and :data:`FLAGS` into a shared library named
+for a hash of the source, the flags and the machine.  ``-O3`` vectorizes
+every per-group loop with the baseline ISA's vectors; the answers are
+bitwise those of an unoptimised build, because ``-ffp-contract=off``
+fuses no multiply-add and, without ``-ffast-math``, no sum is
+reassociated.  There is no ``-march``, so they do not depend on the
+host's vector or FMA units either.  The library lives in this package's
+``__pycache__``, or in the user's cache directory (``$XDG_CACHE_HOME`` or
+``~/.cache``, under ``repro-kernels``) when that is read-only, so a
+checkout compiles it once and later processes load it.  A build into
+``__pycache__`` deletes the checkout's libraries of other sources or
+flags; the user's cache, which other checkouts share, is never pruned.
+A directory that anyone but its owner, this user or root, can write is
+neither read nor written, so no other user can plant a library there.
+It is called through :mod:`ctypes`, which releases the GIL for the call;
+the kernel allocates its workspace per call, so concurrent calls share
+nothing mutable.
 Without a compiler, or when the build fails, :func:`library` logs one
 ``numerics.kernel_unavailable`` warning and returns ``None``, and the
 solvers integrate the full (S, I, R) state in their generic loops.
@@ -31,6 +37,7 @@ solvers integrate the full (S, I, R) state in their generic loops.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import platform
@@ -51,7 +58,7 @@ __all__ = ["System1", "KernelRun", "FLAGS", "library", "run",
            "OK", "UNDERFLOW", "NONFINITE", "EXHAUSTED", "MISMATCH"]
 
 SOURCE = Path(__file__).with_name("system1.c")
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: Status codes of ``s1_dopri45`` (``S1_*`` in system1.c).
 OK, UNDERFLOW, NONFINITE, EXHAUSTED, NOMEMORY, MISMATCH = range(6)
@@ -158,7 +165,11 @@ def _load() -> Callable[..., int] | None:
         for directory in dirs:
             if _trusted(directory) and (directory / name).exists():
                 return _bind(directory / name)
-        return _bind(_build(_writable(dirs), name))
+        directory = _writable(dirs)
+        built = _build(directory, name)
+        if directory == dirs[0]:
+            _prune(directory, keep=name)
+        return _bind(built)
     except Exception as error:  # noqa: BLE001 - any failure: generic path
         reason = getattr(error, "stderr", None) or error
         warning("numerics.kernel_unavailable", reason=str(reason).strip(),
@@ -201,6 +212,15 @@ def _build(directory: Path, name: str) -> Path:
             if os.path.exists(scratch):
                 os.unlink(scratch)
     return target
+
+
+def _prune(directory: Path, keep: str) -> None:
+    """Delete ``directory``'s kernel libraries and locks but ``keep``'s."""
+    for pattern in ("system1-*.so", "system1-*.so.lock"):
+        for stale in directory.glob(pattern):
+            if stale.name not in (keep, f"{keep}.lock"):
+                with contextlib.suppress(OSError):
+                    stale.unlink()
 
 
 def _bind(path: Path) -> Callable[..., int]:

@@ -7,7 +7,9 @@ in ``docs/SERVICE.md``):
 * ``POST /scenario`` — body is a :class:`~repro.serve.spec.ScenarioSpec`
   JSON payload.  Synchronous by default (the response carries the
   result plus cache/batching telemetry); ``?mode=async`` answers
-  ``202 Accepted`` immediately with a poll path.
+  ``202 Accepted`` immediately with a poll path.  A body declared
+  larger than :data:`MAX_BODY_BYTES` is answered ``413`` unread (and
+  never invited with ``100 Continue``), and the connection closes.
 * ``GET /scenario/<hash>`` — poll a submitted scenario: ``200`` with
   the result once cached, ``202`` while in flight, ``404`` otherwise.
 * ``GET /presets`` — the valid ``network`` preset names with their
@@ -64,13 +66,20 @@ from repro.obs.trace import get_observer, new_trace_id, tracing
 from repro.serve.service import ScenarioService
 from repro.serve.spec import MODEL_FAMILIES, ScenarioSpec
 
-__all__ = ["ScenarioHTTPServer", "run_server"]
+__all__ = ["MAX_BODY_BYTES", "ScenarioHTTPServer", "run_server"]
 
 #: Hex-digit length of a full spec hash (SHA-256).
 _HASH_LEN = 64
 
 #: Accepted ``X-Trace-Id`` values: short, header-safe, log-greppable.
 _TRACE_ID_RE = re.compile(r"[A-Za-z0-9_.\-]{1,64}")
+
+#: Largest ``POST /scenario`` body read; a larger one is answered 413.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(ParameterError):
+    """The declared body exceeds :data:`MAX_BODY_BYTES`; it stays unread."""
 
 
 class ScenarioHTTPServer(ThreadingHTTPServer):
@@ -123,6 +132,11 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             spec = self._read_spec()
+        except _BodyTooLarge as error:
+            # The unread body would be parsed as the next request.
+            self.close_connection = True
+            self._respond_json(413, {"error": str(error)})
+            return
         except ParameterError as error:
             self._respond_json(400, {"error": str(error)})
             return
@@ -175,6 +189,13 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
         }
         self._respond_json(503 if status == "critical" else 200, payload)
 
+    def handle_expect_100(self) -> bool:
+        """Invite only a body that :meth:`_read_spec` will read."""
+        length = self.headers.get("Content-Length", "")
+        if length.isdecimal() and int(length) > MAX_BODY_BYTES:
+            return True  # no 100 Continue: do_POST answers 413 at once
+        return super().handle_expect_100()
+
     def _read_spec(self) -> ScenarioSpec:
         try:
             length = int(self.headers.get("Content-Length", "0"))
@@ -183,6 +204,9 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
         if length <= 0:
             raise ParameterError("request body must be a scenario JSON "
                                  "object")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds "
+                                f"the limit of {MAX_BODY_BYTES} bytes")
         body = self.rfile.read(length)
         try:
             payload = json.loads(body)
@@ -292,6 +316,8 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
         trace_id = getattr(self, "_trace_id", None)
         if trace_id:
             lines.append(f"X-Trace-Id: {trace_id}")
+        if self.close_connection:
+            lines.append("Connection: close")
         head = "\r\n".join(lines) + "\r\n\r\n"
         self.wfile.write(head.encode("latin-1") + body)
 

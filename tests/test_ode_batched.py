@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.batched import BatchedHeterogeneousSIR
 from repro.core.model import HeterogeneousSIRModel
 from repro.core.parameters import RumorModelParameters
-from repro.core.state import SIRState
+from repro.core.state import RumorTrajectory, SIRState
 from repro.exceptions import IntegrationError, ParameterError
 from repro.networks.degree import power_law_distribution
 from repro.numerics.ode import dopri45, integrate, rk4
@@ -345,6 +345,30 @@ class TestBatchedModel:
         trajectory = batch.trajectory(solution, 2)
         assert np.allclose(trajectory.population_infected(), infected[:, 2],
                            rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("method", ["dopri45", "rk4"])
+    @pytest.mark.parametrize("n_groups, rows", [(7, 2), (30, 3), (333, 5)])
+    def test_trajectory_view_reduces_as_a_copy(self, method, n_groups, rows):
+        """A row's trajectory is a view of the batch output, and its
+        population series equal a contiguous copy's bitwise."""
+        params = make_params(n_groups)
+        batch = BatchedHeterogeneousSIR(
+            params, eps1=np.linspace(0.05, 0.4, rows),
+            eps2=np.linspace(0.01, 0.2, rows))
+        solution = batch.simulate(SIRState.initial(n_groups, 0.05),
+                                  t_final=5.0, n_samples=61, method=method)
+        for row in range(rows):
+            view = batch.trajectory(solution, row)
+            copy = solution.solution(row)
+            assert np.shares_memory(view.infected, solution.y)
+            for series in ("population_susceptible", "population_infected",
+                           "population_recovered"):
+                got = getattr(view, series)()
+                want = getattr(RumorTrajectory(params, copy.t, copy.y),
+                               series)()
+                assert np.array_equal(got, want), (series, row)
+        with pytest.raises(ParameterError, match="out of range"):
+            batch.trajectory(solution, rows)
 
     def test_per_row_alpha_and_lambda(self, params, initial):
         alphas = [0.01, 0.02, 0.03]

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import signal
+import socket
 import statistics
 import subprocess
 import sys
@@ -249,6 +250,68 @@ class TestKeepAlive:
         assert hit["result"] == polled["result"] == miss["result"]
         assert set(hit) == {"spec_hash", "trace_id", "cache", "stacked",
                             "seconds", "result"}
+
+
+class TestBodyLimit:
+    def test_oversized_body_is_413_at_once_and_others_still_answer(self):
+        """A body declared above 1 MiB is refused unread, within a
+        second, and its connection closes; other clients are served."""
+        with live_server(window_seconds=0.005) as port:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+            try:
+                started = time.monotonic()
+                sock.sendall(b"POST /scenario HTTP/1.1\r\nHost: test\r\n"
+                             b"Content-Type: application/json\r\n"
+                             b"Content-Length: %d\r\n\r\n{" % (2 << 20))
+                status, body = request(port, "POST", "/scenario",
+                                       small_payload(eps1=0.23))
+                assert status == 200
+                assert body["result"]["kind"] == "trajectory"
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                refused = json.loads(response.read())
+                elapsed = time.monotonic() - started
+                assert response.status == 413
+                assert response.getheader("Connection") == "close"
+                assert "exceeds the limit of 1048576 bytes" in \
+                    refused["error"]
+                assert elapsed < 1.0
+                assert sock.recv(1) == b""      # the server closed it
+            finally:
+                sock.close()
+
+    def test_an_oversized_body_is_not_invited(self):
+        """A client that waits for ``100 Continue`` before sending an
+        oversized body gets the 413 instead."""
+        with live_server() as port:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+            try:
+                sock.sendall(b"POST /scenario HTTP/1.1\r\nHost: test\r\n"
+                             b"Expect: 100-continue\r\n"
+                             b"Content-Length: %d\r\n\r\n" % (2 << 20))
+                with sock.makefile("rb") as stream:
+                    status_line = stream.readline()
+                    head = stream.read()    # to the server's close
+                assert status_line.startswith(b"HTTP/1.1 413 ")
+                assert b"\r\nConnection: close\r\n" in head
+            finally:
+                sock.close()
+
+    def test_a_body_at_the_limit_is_read(self):
+        from repro.serve.http import MAX_BODY_BYTES
+
+        body = json.dumps(small_payload(eps1=0.24))
+        body += " " * (MAX_BODY_BYTES - len(body))
+        with live_server(window_seconds=0.005) as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                conn.request("POST", "/scenario", body=body)
+                response = conn.getresponse()
+                assert response.status == 200
+                assert response.getheader("Connection") is None
+                assert json.loads(response.read())["cache"] == "miss"
+            finally:
+                conn.close()
 
 
 class TestHealthzEnrichment:
@@ -496,6 +559,27 @@ class TestCliWiring:
         assert args.cache_entries == 16
         assert args.cache_dir == "/tmp/blobs"
         assert args.status_interval == pytest.approx(30.0)
+
+    @pytest.mark.parametrize("flags", [[], ["--progress"],
+                                       ["--profile-resources"],
+                                       ["--profile-phases"]])
+    def test_serve_drops_events_without_a_manifest(self, monkeypatch,
+                                                   flags):
+        """Without --trace-out the daemon runs observed, so /metrics
+        counts, but keeps no events in memory, whatever other
+        observability flag it runs with."""
+        import repro.serve.http
+        from repro.cli import main
+        from repro.obs.manifest import NullSink
+        from repro.obs.trace import get_observer
+
+        observers = []
+        monkeypatch.setattr(
+            repro.serve.http, "run_server",
+            lambda host, port, **kwargs: observers.append(get_observer()))
+        main([*flags, "serve", "--port", "0"])
+        assert len(observers) == 1
+        assert isinstance(observers[0].sink, NullSink)
 
     def test_presets_parser(self):
         args = build_parser().parse_args(["presets", "list"])

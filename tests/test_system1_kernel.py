@@ -8,6 +8,10 @@ The contract under test (see ``repro.numerics.system1``):
   and under every solver option;
 * a second process loads the cached library without compiling, and no
   process reads or writes a cache directory others can write;
+* a build into the package's ``__pycache__`` deletes the libraries of
+  other sources or flags there, and never touches the user's cache;
+* the shipped flags change no bit: an unoptimised build answers the
+  same, solo and stacked;
 * the solvers call ``f`` once, at ``t0``, and refuse constants whose
   slope there is not ``f``'s;
 * the kernel's failures raise the generic loops' messages, naming the
@@ -216,6 +220,77 @@ class TestCacheTrust:
         assert routine is None
         assert compiled == []           # nothing built there either
         assert len(warnings) == 1 and "no one else" in warnings[0]
+
+
+@kernel_required
+class TestPrune:
+    """A build into ``__pycache__`` deletes that directory's stale
+    libraries and locks; the user's cache is shared, so never pruned."""
+
+    STALE = ("system1-00000000.so", "system1-00000000.so.lock")
+    UNRELATED = ("system1-00000000.so.x1y2.tmp", "other-00000000.so",
+                 "notes.txt")
+
+    def build(self, monkeypatch, package: Path, user: Path) -> str:
+        monkeypatch.setattr(system1, "_loaded", [])
+        monkeypatch.setattr(system1, "_cache_dirs", lambda: [package, user])
+        routine = system1.library()
+        assert routine is not None
+        return routine.path
+
+    def plant(self, directory: Path, names) -> None:
+        directory.mkdir(mode=0o700, exist_ok=True)
+        for name in names:
+            (directory / name).write_bytes(b"stale")
+
+    def test_a_build_prunes_the_package_cache(self, monkeypatch, tmp_path):
+        package, user = tmp_path / "pycache", tmp_path / "user"
+        self.plant(package, self.STALE + self.UNRELATED)
+        self.plant(user, self.STALE)
+        path = self.build(monkeypatch, package, user)
+        name = system1._library_name()
+        assert path == str(package / name)
+        assert sorted(p.name for p in package.iterdir()) == sorted(
+            (name, f"{name}.lock") + self.UNRELATED)
+        assert sorted(p.name for p in user.iterdir()) == sorted(self.STALE)
+
+    def test_the_user_cache_is_never_pruned(self, monkeypatch, tmp_path):
+        package, user = tmp_path / "pycache", tmp_path / "user"
+        self.plant(package, self.STALE)
+        package.chmod(0o770)            # untrusted: skipped
+        self.plant(user, self.STALE)
+        path = self.build(monkeypatch, package, user)
+        assert path == str(user / system1._library_name())
+        assert set(self.STALE) <= {p.name for p in user.iterdir()}
+        assert sorted(p.name for p in package.iterdir()) == sorted(self.STALE)
+
+
+@kernel_required
+def test_answers_do_not_depend_on_the_optimisation_level(monkeypatch,
+                                                         tmp_path):
+    """The shipped flags move no bit: an -O0 build answers the same."""
+    flags = set(system1.FLAGS)
+    assert "-ffp-contract=off" in flags
+    assert not flags & {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                        "-fassociative-math"}
+    assert not any(flag.startswith("-march") for flag in flags)
+    unoptimised = tmp_path / "system1-O0.so"
+    subprocess.run([*system1._compiler(), "-O0", "-fPIC", "-shared",
+                    "-ffp-contract=off", "-o", str(unoptimised),
+                    str(system1.SOURCE), "-lm"],
+                   check=True, capture_output=True, timeout=300)
+    from repro.datasets import synthesize_digg2009
+    networks = [params_of(30),
+                RumorModelParameters(synthesize_digg2009().distribution)]
+    grid = np.linspace(0.0, 60.0, 61)
+    runs = []
+    for routine in (system1.library(), system1._bind(unoptimised)):
+        monkeypatch.setattr(system1, "_loaded", [routine])
+        runs.append([solve(params, grid)[:4] for params in networks])
+    for shipped, reference in zip(*runs):
+        assert shipped[1] == reference[1] and shipped[3] == reference[3]
+        assert np.array_equal(shipped[0], reference[0])     # solo
+        assert np.array_equal(shipped[2], reference[2])     # stacked
 
 
 @kernel_required
