@@ -131,9 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "announced on stdout (default 8722)")
     serve.add_argument("--batch-window", type=float, default=0.01,
                        metavar="SECONDS",
-                       help="micro-batching window: how long the first "
+                       help="micro-batching window: the longest a "
                             "cache-missing request waits for compatible "
-                            "company (default 0.01)")
+                            "company; a window closes sooner once no "
+                            "request has arrived for a tenth of it "
+                            "(default 0.01)")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="dispatch a window early at this many requests "
                             "(default 64)")

@@ -1,36 +1,46 @@
-"""Micro-batching dispatcher: coalesce, stack, integrate once, fan out.
+"""Micro-batching dispatcher: stack on arrivals, integrate once, fan out.
 
 Concurrent what-if queries are highly batchable: they usually share the
 network and horizon and differ only in the (ε1, ε2) policy — exactly the
 per-row fields :class:`~repro.core.batched.BatchedHeterogeneousSIR`
-stacks.  The :class:`MicroBatcher` exploits that with the classic
-micro-batching trade: the first request to arrive opens a short window
-(``window_seconds``); everything submitted before the deadline joins the
-batch; then the whole window dispatches at once —
+stacks.  The :class:`MicroBatcher` runs two lanes, each one queue and
+one daemon thread:
 
-1. requests with the same spec hash **coalesce** (one integration, every
-   waiter gets the shared result);
-2. distinct specs sharing a :meth:`~repro.serve.spec.ScenarioSpec.batch_key`
-   **stack** into one integration of B rows (under dopri45 the
-   compiled System (1) kernel integrates each row on its own, so a
-   stacked answer equals the solo one bit for bit);
-3. everything else (control requests, incompatible networks) runs on
-   the scalar path — as does any group of size 1, which keeps a lone
-   request bitwise identical to calling the model directly.
+1. the **stacking lane** takes every spec with a
+   :meth:`~repro.serve.spec.ScenarioSpec.batch_key`.  The first request
+   opens a window, which closes once the queue has been quiet for a gap
+   of ``window_seconds / 10``, or at the latest ``window_seconds`` after
+   it opened, or at ``max_batch`` requests.  Requests released together
+   (by one stacked answer, one ``query_many`` or concurrent clients)
+   arrive well inside the gap and still stack, while a lone miss waits
+   only the gap.  Distinct specs sharing a batch key **stack** into one
+   integration of B rows (under dopri45 the compiled System (1) kernel
+   integrates each row on its own, so a stacked answer equals the solo
+   one bit for bit); a group of one runs the scalar path, which keeps a
+   lone request bitwise identical to calling the model directly;
+2. the **solo lane** takes every spec without one (control plans,
+   families without a batched implementation) and runs each at once on
+   the scalar path, so no trajectory miss waits behind a multi-second
+   FBSM solve.
+
+The batcher does not coalesce: :class:`~repro.serve.service.ScenarioService`
+joins identical in-flight specs before they reach it, so the same spec
+submitted here twice integrates twice.
 
 Each result is encoded to its JSON bytes
-(:func:`~repro.serve.cache.encode_result`) once, here, before any waiter
-wakes: the owner, its coalesced followers and every later cache hit
-serve those same bytes.
+(:func:`~repro.serve.cache.encode_result`) once, here, before its
+waiter wakes: the waiter, the service's coalesced waiters and every
+later cache hit serve those same bytes.  Each request's wait, from
+submission to the start of its integration, feeds the
+``serve.batch.wait.seconds`` histogram.
 
 Failures propagate: if a group's integration (or encoding) raises,
 every waiter in that group re-raises the original exception; other
 groups in the window are unaffected.
 
-The dispatcher is one daemon thread; waiters block on per-request
-events (:class:`PendingResult`), so the batcher adds no threads per
-request and shuts down cleanly by draining its queue
-(:meth:`MicroBatcher.close`).
+Waiters block on per-request events (:class:`PendingResult`), so the
+batcher adds no threads per request and shuts down cleanly by draining
+both queues (:meth:`MicroBatcher.close`).
 """
 
 from __future__ import annotations
@@ -50,8 +60,11 @@ from repro.serve.spec import (
 
 __all__ = ["MicroBatcher", "PendingResult"]
 
-#: Idle poll period of the dispatcher thread when no window is open.
+#: Idle poll period of a lane's thread when no window is open.
 _POLL_SECONDS = 0.05
+
+#: Quiet gap that closes a stacking window, as a fraction of its cap.
+_GAP_FRACTION = 0.1
 
 
 class PendingResult:
@@ -66,10 +79,12 @@ class PendingResult:
     def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
         self.spec_hash = spec.spec_hash()
+        self.batch_key = spec.batch_key()
         self.stacked = False
+        self.submitted = time.perf_counter()
         # Trace ids are context-local and the dispatcher runs on its own
         # thread, so capture them at submission time; the dispatcher
-        # re-establishes the window's union around the integration.
+        # re-establishes the group's union around the integration.
         self.trace_ids = current_trace_ids()
         self._done = threading.Event()
         self._result: dict[str, object] | None = None
@@ -106,16 +121,28 @@ class PendingResult:
         return self._result
 
 
+class _Lane:
+    """A queue and the one thread that dispatches it."""
+
+    def __init__(self, name: str, window_seconds: float,
+                 dispatch_loop: Callable[["_Lane"], None]) -> None:
+        self.queue: queue.Queue[PendingResult] = queue.Queue()
+        self.window_seconds = window_seconds
+        self.in_flight = 0
+        self.thread = threading.Thread(target=dispatch_loop, args=(self,),
+                                       name=name, daemon=True)
+
+
 class MicroBatcher:
-    """Window-based request batcher in front of the scenario executors.
+    """Arrival-driven request batcher in front of the scenario executors.
 
     Parameters
     ----------
     window_seconds:
-        How long the first request of a window waits for company.  The
-        window is a latency *floor* for cache-missing requests, so keep
-        it well under a single integration's cost (default 10 ms vs
-        ~100 ms+ integrations).
+        The longest a stacking window stays open.  It closes earlier,
+        once no request has arrived for ``window_seconds / 10``, so a
+        lone cache miss waits about a tenth of it (1 ms at the default
+        10 ms); ``0`` dispatches every request at once.
     max_batch:
         Dispatch early once a window holds this many requests.
     run_one, run_batch:
@@ -138,13 +165,13 @@ class MicroBatcher:
         self.max_batch = int(max_batch)
         self._run_one = run_one
         self._run_batch = run_batch
-        self._queue: queue.Queue[PendingResult] = queue.Queue()
-        self._in_flight = 0
         self._closed = threading.Event()
-        self._thread = threading.Thread(target=self._dispatch_loop,
-                                        name="repro-serve-batcher",
-                                        daemon=True)
-        self._thread.start()
+        self._stacking = _Lane("repro-serve-batcher", self.window_seconds,
+                               self._dispatch_loop)
+        self._solo = _Lane("repro-serve-solo", 0.0, self._dispatch_loop)
+        self._lanes = (self._stacking, self._solo)
+        for lane in self._lanes:
+            lane.thread.start()
 
     # -- submission --------------------------------------------------------
     def submit_nowait(self, spec: ScenarioSpec) -> PendingResult:
@@ -157,7 +184,8 @@ class MicroBatcher:
         if self._closed.is_set():
             raise RuntimeError("batcher is closed")
         pending = PendingResult(spec)
-        self._queue.put(pending)
+        lane = self._solo if pending.batch_key is None else self._stacking
+        lane.queue.put(pending)
         return pending
 
     def submit(self, spec: ScenarioSpec,
@@ -166,70 +194,63 @@ class MicroBatcher:
         return self.submit_nowait(spec).wait(timeout)
 
     def depth(self) -> int:
-        """Requests queued or currently dispatching (SLO queue depth)."""
-        return self._queue.qsize() + self._in_flight
+        """Requests queued or dispatching in either lane (SLO queue depth)."""
+        return sum(lane.queue.qsize() + lane.in_flight
+                   for lane in self._lanes)
 
-    # -- dispatcher thread -------------------------------------------------
-    def _dispatch_loop(self) -> None:
+    # -- dispatcher threads ------------------------------------------------
+    def _dispatch_loop(self, lane: _Lane) -> None:
+        gap = lane.window_seconds * _GAP_FRACTION
         while True:
             try:
-                first = self._queue.get(timeout=_POLL_SECONDS)
+                first = lane.queue.get(timeout=_POLL_SECONDS)
             except queue.Empty:
                 if self._closed.is_set():
                     return
                 continue
             window = [first]
-            deadline = time.monotonic() + self.window_seconds
+            deadline = time.monotonic() + lane.window_seconds
             while len(window) < self.max_batch:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 try:
-                    window.append(self._queue.get(timeout=remaining))
+                    window.append(lane.queue.get(
+                        timeout=min(gap, remaining)))
                 except queue.Empty:
-                    break
-            self._in_flight = len(window)
+                    break  # quiet for the gap
+            lane.in_flight = len(window)
             try:
                 self._dispatch(window)
             finally:
-                self._in_flight = 0
+                lane.in_flight = 0
 
     def _dispatch(self, window: list[PendingResult]) -> None:
-        """Coalesce + partition one window and run each group."""
-        # 1. coalesce identical specs: first pending per hash is the owner.
-        owners: dict[str, PendingResult] = {}
-        followers: dict[str, list[PendingResult]] = {}
+        """Partition one window by batch key and run each group."""
+        # A solo-lane window holds one request, so the ``None`` key of
+        # unbatchable specs never groups two of them.
+        groups: dict[str | None, list[PendingResult]] = {}
         for pending in window:
-            if pending.spec_hash in owners:
-                followers[pending.spec_hash].append(pending)
-            else:
-                owners[pending.spec_hash] = pending
-                followers[pending.spec_hash] = []
-        # 2. partition distinct specs by stacking compatibility.
-        groups: dict[object, list[PendingResult]] = {}
-        for spec_hash, owner in owners.items():
-            key = owner.spec.batch_key()
-            if key is None:
-                key = ("solo", spec_hash)  # unbatchable: group of one
-            groups.setdefault(key, []).append(owner)
-        # 3. integrate each group, fanning results to owner + followers.
+            groups.setdefault(pending.batch_key, []).append(pending)
         observer = get_observer()
         for group in groups.values():
             stacked = len(group) > 1
-            # Union of the group's member trace ids (owners + coalesced
-            # followers, submission order): the batch span, the solver
-            # events under it, and any health events all get stamped
-            # with every request they served.
-            group_ids: list[str] = []
-            for owner in group:
-                for member in (owner, *followers[owner.spec_hash]):
-                    for trace_id in member.trace_ids:
-                        if trace_id not in group_ids:
-                            group_ids.append(trace_id)
             try:
                 if observer is not None:
-                    # tracing() wraps the span so the span event —
-                    # emitted when the block exits — is stamped too.
+                    waits = observer.metrics.histogram(
+                        "serve.batch.wait.seconds")
+                    started = time.perf_counter()
+                    for pending in group:
+                        waits.observe(started - pending.submitted)
+                    # Union of the members' trace ids (submission
+                    # order): the batch span, the solver events under
+                    # it and any health events are stamped with every
+                    # request they served.  tracing() wraps the span
+                    # so the span event, emitted when the block exits,
+                    # is stamped too.
+                    group_ids = list(dict.fromkeys(
+                        trace_id for pending in group
+                        for trace_id in pending.trace_ids))
                     with tracing(*group_ids):
                         with observer.span("serve.batch", size=len(group),
                                            stacked=stacked):
@@ -240,14 +261,11 @@ class MicroBatcher:
                     results = self._run_group(group, stacked)
                 bodies = [encode_result(result) for result in results]
             except BaseException as error:  # propagate to every waiter
-                for owner in group:
-                    owner.fail(error)
-                    for follower in followers[owner.spec_hash]:
-                        follower.fail(error)
+                for pending in group:
+                    pending.fail(error)
                 continue
-            for owner, result, body in zip(group, results, bodies):
-                for pending in (owner, *followers[owner.spec_hash]):
-                    pending.resolve(result, body, stacked=stacked)
+            for pending, result, body in zip(group, results, bodies):
+                pending.resolve(result, body, stacked=stacked)
 
     def _run_group(self, group: list[PendingResult],
                    stacked: bool) -> list[dict[str, object]]:
@@ -257,7 +275,7 @@ class MicroBatcher:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self, timeout: float = 30.0) -> None:
-        """Stop accepting work, drain in-flight windows, join the thread.
+        """Stop accepting work, drain both lanes, join their threads.
 
         Already-queued requests still complete (graceful shutdown
         drains rather than drops); only *new* submissions are refused.
@@ -265,7 +283,8 @@ class MicroBatcher:
         if self._closed.is_set():
             return
         self._closed.set()
-        self._thread.join(timeout)
+        for lane in self._lanes:
+            lane.thread.join(timeout)
 
     def __enter__(self) -> "MicroBatcher":
         return self

@@ -3,10 +3,11 @@
 Results are keyed by :meth:`~repro.serve.spec.ScenarioSpec.spec_hash` —
 the SHA-256 of the canonical spec JSON — so the cache never needs an
 invalidation protocol for *inputs*: a different question is a different
-key.  Code drift is handled by :data:`NUMERICS_VERSION`: the disk tier
-keeps its blobs under a subdirectory named for it, so answers computed
-by older numerics are never served (the directory is still safe to
-delete wholesale at any time).
+key.  Code drift is handled by :data:`NUMERICS_VERSION` and the engine
+(:func:`engine`): the disk tier keeps its blobs under a subdirectory
+named for both, so answers computed by older numerics, or by the NumPy
+fallback where the compiled kernel answers, are never served (the
+directory is still safe to delete wholesale at any time).
 
 Each entry is the result's JSON encoding (:func:`encode_result`), made
 once when the result completes.  The HTTP front end splices those bytes
@@ -17,7 +18,7 @@ demand.  Two tiers:
 * an in-memory LRU (``OrderedDict`` behind a lock) bounded by
   ``max_entries``;
 * an optional on-disk tier (``disk_dir``) storing the same bytes as
-  ``numerics-<NUMERICS_VERSION>/<hash>.json``.  Disk blobs survive
+  ``numerics-<NUMERICS_VERSION>-<engine>/<hash>.json``.  Disk blobs survive
   restarts and LRU eviction; reads re-populate the memory tier.
   Floats round-trip JSON exactly
   (shortest repr), so a disk hit returns the same numbers as the run
@@ -41,16 +42,27 @@ from typing import Mapping
 
 from repro.obs.trace import get_observer
 
-__all__ = ["NUMERICS_VERSION", "ResultCache", "encode_result"]
+__all__ = ["NUMERICS_VERSION", "ResultCache", "encode_result", "engine"]
 
 #: Version of the numerics that compute served answers.  Bump it in any
 #: change that moves an answer, even at round-off: the disk tier keeps
-#: blobs under ``numerics-<version>/``, so blobs written by older code
-#: are never read.  Not part of ``spec_hash``, which names the question.
-#: Version 1 (no subdirectory) integrated System (1) on the full
-#: (S, I, R) state; version 2 carries (S, I) and rebuilds R; version 3
-#: solves it in the compiled kernel (:mod:`repro.numerics.system1`).
+#: blobs under ``numerics-<version>-<engine>/``, so blobs written by
+#: older code are never read.  Not part of ``spec_hash``, which names the
+#: question.  Version 1 (no subdirectory) integrated System (1) on the
+#: full (S, I, R) state; version 2 carries (S, I) and rebuilds R;
+#: version 3 solves it in the compiled kernel
+#: (:mod:`repro.numerics.system1`), or in the NumPy loops where the
+#: kernel did not load, which answer within 1e-5 of it.
 NUMERICS_VERSION = 3
+
+
+def engine() -> str:
+    """``"kernel"`` when the compiled System (1) kernel loaded in this
+    process, else ``"numpy"``: the engine whose answers this process
+    writes to, and reads from, the disk tier."""
+    from repro.numerics import system1
+
+    return "kernel" if system1.library() is not None else "numpy"
 
 
 def encode_result(result: Mapping[str, object]) -> bytes:
@@ -69,8 +81,8 @@ class ResultCache:
         holds the blob).
     disk_dir:
         Optional directory for persistent blobs, kept as
-        ``numerics-<NUMERICS_VERSION>/<hash>.json`` inside it; created
-        on first write.
+        ``numerics-<NUMERICS_VERSION>-<engine>/<hash>.json`` inside it;
+        created on first write.
     """
 
     def __init__(self, max_entries: int = 1024,
@@ -80,7 +92,8 @@ class ResultCache:
         self.max_entries = int(max_entries)
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self._blob_dir = (None if self.disk_dir is None else
-                          self.disk_dir / f"numerics-{NUMERICS_VERSION}")
+                          self.disk_dir
+                          / f"numerics-{NUMERICS_VERSION}-{engine()}")
         self._entries: OrderedDict[str, bytes] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
@@ -174,8 +187,9 @@ class ResultCache:
 
         ``tier`` is ``"disabled"`` (no ``disk_dir``), ``"ok"``, or
         ``"degraded"`` (at least one unreadable blob observed).
-        ``blobs`` counts the current numerics version's blobs only; a
-        missing directory just means nothing has been written yet.
+        ``blobs`` counts the blobs of the current numerics version and
+        engine only; a missing directory just means nothing has been
+        written yet.
         """
         with self._lock:
             errors = self._disk_errors

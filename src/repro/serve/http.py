@@ -10,6 +10,10 @@ in ``docs/SERVICE.md``):
   ``202 Accepted`` immediately with a poll path.  A body declared
   larger than :data:`MAX_BODY_BYTES` is answered ``413`` unread (and
   never invited with ``100 Continue``), and the connection closes.
+  Any other body is read before the answer, an error or a ``404``
+  included, so it is never parsed as the next request; a
+  ``Content-Length`` that is not a number or is negative is answered
+  ``400`` and closes the connection.
 * ``GET /scenario/<hash>`` — poll a submitted scenario: ``200`` with
   the result once cached, ``202`` while in flight, ``404`` otherwise.
 * ``GET /presets`` — the valid ``network`` preset names with their
@@ -78,10 +82,6 @@ _TRACE_ID_RE = re.compile(r"[A-Za-z0-9_.\-]{1,64}")
 MAX_BODY_BYTES = 1 << 20
 
 
-class _BodyTooLarge(ParameterError):
-    """The declared body exceeds :data:`MAX_BODY_BYTES`; it stays unread."""
-
-
 class ScenarioHTTPServer(ThreadingHTTPServer):
     """HTTP server bound to one :class:`ScenarioService`."""
 
@@ -123,6 +123,11 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
             self._respond_json(404, {"error": f"unknown path {route!r}"})
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        # Read the body before any answer: left unread, it would be
+        # parsed as the next request on this keep-alive connection.
+        body, unread = self._read_body()
+        if unread is not None:
+            self.close_connection = True
         parts = urlsplit(self.path)
         route = parts.path.rstrip("/")
         if route != "/scenario":
@@ -130,13 +135,12 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
             return
         if not self._accept_trace_header(generate=True):
             return
-        try:
-            spec = self._read_spec()
-        except _BodyTooLarge as error:
-            # The unread body would be parsed as the next request.
-            self.close_connection = True
-            self._respond_json(413, {"error": str(error)})
+        if unread is not None:
+            status, error = unread
+            self._respond_json(status, {"error": error})
             return
+        try:
+            spec = self._parse_spec(body)
         except ParameterError as error:
             self._respond_json(400, {"error": str(error)})
             return
@@ -190,24 +194,35 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
         self._respond_json(503 if status == "critical" else 200, payload)
 
     def handle_expect_100(self) -> bool:
-        """Invite only a body that :meth:`_read_spec` will read."""
+        """Invite only a body that :meth:`_read_body` will read."""
         length = self.headers.get("Content-Length", "")
         if length.isdecimal() and int(length) > MAX_BODY_BYTES:
             return True  # no 100 Continue: do_POST answers 413 at once
         return super().handle_expect_100()
 
-    def _read_spec(self) -> ScenarioSpec:
+    def _read_body(self) -> tuple[bytes, tuple[int, str] | None]:
+        """The request body, or the status and error it stays unread for.
+
+        A ``Content-Length`` that is not a number, is negative or
+        exceeds :data:`MAX_BODY_BYTES` leaves the body unread; the
+        connection must then close.
+        """
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            raise ParameterError("invalid Content-Length header") from None
-        if length <= 0:
+            length = -1
+        if length < 0:
+            return b"", (400, "invalid Content-Length header")
+        if length > MAX_BODY_BYTES:
+            return b"", (413, f"request body of {length} bytes exceeds the "
+                              f"limit of {MAX_BODY_BYTES} bytes")
+        return self.rfile.read(length), None
+
+    @staticmethod
+    def _parse_spec(body: bytes) -> ScenarioSpec:
+        if not body:
             raise ParameterError("request body must be a scenario JSON "
                                  "object")
-        if length > MAX_BODY_BYTES:
-            raise _BodyTooLarge(f"request body of {length} bytes exceeds "
-                                f"the limit of {MAX_BODY_BYTES} bytes")
-        body = self.rfile.read(length)
         try:
             payload = json.loads(body)
         except json.JSONDecodeError as exc:

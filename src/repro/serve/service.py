@@ -8,11 +8,16 @@ Per query, under one lock:
    immediately (``cache="hit"``);
 2. **in-flight dedupe** — a pending integration for the same hash is
    joined rather than duplicated (``cache="coalesced"``, counted as a
-   hit: the request costs no integration);
+   hit: the request costs no integration).  This is the only
+   coalescing point: a spec is registered here before the next one is
+   looked up, so duplicates inside one ``query_many`` coalesce too, and
+   the batcher never sees the same hash twice at once;
 3. **miss** — the query is submitted to the
    :class:`~repro.serve.batcher.MicroBatcher` and registered as the
    hash's owner; on completion the owner stores the result's encoding
-   and clears the in-flight entry.
+   and clears the in-flight entry.  The batcher stacks trajectory
+   misses that arrive together and runs control plans in a lane of
+   their own.
 
 Every response carries the result's JSON bytes, encoded once when the
 integration completed; its ``result`` dict is decoded from them only
@@ -24,7 +29,8 @@ end-to-end service test pins down.
 
 Observability: each query emits a ``serve.request`` span event (spec
 short-hash, cache status, stacked flag) and feeds the
-``serve.request.seconds`` histogram; cache counters live in
+``serve.request.seconds`` histogram; each miss's wait in the batcher
+feeds ``serve.batch.wait.seconds``; cache counters live in
 :class:`~repro.serve.cache.ResultCache`.  With no observer installed
 the pipeline is pure computation — a lone request runs the identical
 scalar path as calling the model directly.
@@ -92,7 +98,10 @@ class ScenarioService:
         Pre-built :class:`ResultCache`, or ``None`` to build one from
         ``cache_entries`` / ``cache_dir``.
     window_seconds, max_batch:
-        Micro-batching knobs, passed to :class:`MicroBatcher`.
+        Micro-batching knobs, passed to :class:`MicroBatcher`:
+        ``window_seconds`` is the longest a miss waits for company,
+        and a window closes sooner once arrivals pause for a tenth of
+        it.
     """
 
     def __init__(self, cache: ResultCache | None = None, *,
@@ -118,7 +127,9 @@ class ScenarioService:
                          "serve.cache.evictions", "serve.requests",
                          "serve.errors"):
                 observer.metrics.counter(name)
-            observer.metrics.histogram("serve.request.seconds")
+            for name in ("serve.request.seconds",
+                         "serve.batch.wait.seconds"):
+                observer.metrics.histogram(name)
             self.slo.publish(observer.metrics)
 
     # -- queries -----------------------------------------------------------

@@ -314,6 +314,81 @@ class TestBodyLimit:
                 conn.close()
 
 
+def read_response(stream) -> tuple[int | None, dict[str, str], bytes]:
+    """One response off a raw socket's stream; status ``None`` when the
+    server closed the connection instead."""
+    status_line = stream.readline()
+    if not status_line:
+        return None, {}, b""
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers.get("content-length", "0")))
+    return int(status_line.split()[1]), headers, body
+
+
+class TestUnreadBody:
+    """A POST answered with an error must not leave its body on the
+    connection, where it would be parsed as the next request."""
+
+    @pytest.mark.parametrize("head, status, closes", [
+        (b"POST /nope HTTP/1.1\r\nContent-Length: 2\r\n", 404, False),
+        (b"POST /scenario HTTP/1.1\r\nX-Trace-Id: no spaces\r\n"
+         b"Content-Length: 2\r\n", 400, False),
+        (b"POST /scenario HTTP/1.1\r\nContent-Length: two\r\n", 400, True),
+        (b"POST /scenario HTTP/1.1\r\nContent-Length: -2\r\n", 400, True),
+    ], ids=["unknown-path", "bad-trace-id", "non-numeric-length",
+            "negative-length"])
+    def test_the_next_request_on_the_connection_is_answered(
+            self, head, status, closes):
+        with live_server() as port:
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as sock:
+                sock.sendall(head + b"Host: test\r\n\r\n{}"
+                             b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+                with sock.makefile("rb") as stream:
+                    first, headers, _body = read_response(stream)
+                    second, _headers, body = read_response(stream)
+        assert first == status
+        if closes:
+            assert headers.get("connection") == "close"
+            assert second is None
+        else:
+            assert "connection" not in headers
+            assert second == 200
+            assert json.loads(body)["status"] == "ok"
+
+
+class TestControlLane:
+    def test_a_trajectory_miss_does_not_wait_for_a_control_solve(self):
+        """Control plans run in a lane of their own: a trajectory miss
+        sent while a plan (about 1.8 s alone on a 2-core Xeon) is being
+        solved is answered before the plan."""
+        control = small_payload(
+            t_final=8.0, n_samples=5, alpha=0.01, initial_infected=0.05,
+            calibration={"eps1": 0.2, "eps2": 0.05, "r0": 4.0},
+            control={"c1": 5.0, "c2": 10.0, "n_grid": 11})
+        done = {}
+
+        def solve_plan() -> None:
+            done["plan"] = request(port, "POST", "/scenario", control)
+            done["plan_at"] = time.monotonic()
+
+        with live_server() as port:
+            planner = threading.Thread(target=solve_plan)
+            planner.start()
+            time.sleep(0.2)  # the plan is being solved
+            trajectory = request(port, "POST", "/scenario",
+                                 small_payload(eps1=0.29))
+            answered_at = time.monotonic()
+            planner.join(60.0)
+        assert trajectory[0] == 200 and done["plan"][0] == 200
+        assert trajectory[1]["result"]["kind"] == "trajectory"
+        assert done["plan"][1]["result"]["kind"] == "control"
+        assert answered_at < done["plan_at"]
+
+
 class TestHealthzEnrichment:
     def test_healthz_runtime_identity_fields(self):
         """Regression: /healthz must keep the operator-facing fields."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,9 +16,15 @@ from repro.exceptions import IntegrationError, ParameterError
 from repro.obs.manifest import MemorySink
 from repro.obs.trace import observing, tracing
 from repro.serve.batcher import MicroBatcher, PendingResult
-from repro.serve.cache import NUMERICS_VERSION, ResultCache, encode_result
+from repro.serve.cache import (
+    NUMERICS_VERSION,
+    ResultCache,
+    encode_result,
+    engine,
+)
 from repro.serve.service import ScenarioService
 from repro.serve.spec import (
+    ControlSpec,
     ScenarioSpec,
     execute_scenario,
     execute_scenario_batch,
@@ -25,8 +32,8 @@ from repro.serve.spec import (
     scenario_parameters,
 )
 
-#: Where the disk tier keeps this code's blobs.
-BLOB_SUBDIR = f"numerics-{NUMERICS_VERSION}"
+#: Where the disk tier keeps this code's blobs on this host.
+BLOB_SUBDIR = f"numerics-{NUMERICS_VERSION}-{engine()}"
 
 #: An rk4 run calibrated to r0 = 8 that blows up (non-finite state).
 BLOWUP = {"network": {"kind": "power_law", "k_min": 1, "k_max": 30,
@@ -43,6 +50,10 @@ def small_spec(**overrides) -> ScenarioSpec:
         eps1=0.2, eps2=0.05, t_final=10.0, n_samples=11)
     kwargs.update(overrides)
     return ScenarioSpec(**kwargs)
+
+
+#: A control plan: it has no batch key, so it takes the solo lane.
+CONTROL = small_spec(control=ControlSpec(5.0, 10.0, n_grid=5))
 
 
 class TestResultCache:
@@ -98,17 +109,52 @@ class TestResultCache:
         assert cache.get("bad") is None
 
     def test_disk_path_scheme_is_frozen(self, tmp_path):
-        """Golden: a spec's blob lives at numerics-<version>/<hash>.json.
+        """Golden: a spec's blob lives at
+        numerics-<version>-<engine>/<hash>.json.
 
-        The version names the numerics, not the question, so
-        ``spec_hash`` (and ``golden_spec_hashes.json``) stays put when
-        it is bumped."""
+        The version and the engine name the numerics, not the question,
+        so ``spec_hash`` (and ``golden_spec_hashes.json``) stays put
+        when either changes."""
+        from repro.numerics.system1 import library
+
         key = small_spec().spec_hash()
         ResultCache(disk_dir=tmp_path).put(key, {"kind": "trajectory"})
         blobs = [path.relative_to(tmp_path).as_posix()
                  for path in tmp_path.rglob("*.json")]
         assert NUMERICS_VERSION == 3
-        assert blobs == [f"numerics-3/{key}.json"]
+        name = "kernel" if library() is not None else "numpy"
+        assert blobs == [f"numerics-3-{name}/{key}.json"]
+
+    def test_a_daemon_without_the_kernel_writes_under_numpy(
+            self, tmp_path, monkeypatch):
+        import repro.numerics.system1 as system1
+
+        monkeypatch.setattr(system1, "library", lambda: None)
+        ResultCache(disk_dir=tmp_path).put("k", {"kind": "trajectory"})
+        assert (tmp_path / "numerics-3-numpy" / "k.json").is_file()
+
+    @pytest.mark.parametrize("subdir", ["numerics-3", "other-engine"])
+    def test_blob_from_another_engine_is_not_served(self, tmp_path, subdir):
+        """A blob written by the other engine, or under the engine-less
+        version 3 directory that either engine used to write, is never
+        read, and the disk status does not count it."""
+        if subdir == "other-engine":
+            other = {"kernel": "numpy", "numpy": "kernel"}[engine()]
+            subdir = f"numerics-3-{other}"
+        spec = small_spec()
+        key = spec.spec_hash()
+        (tmp_path / subdir).mkdir()
+        (tmp_path / subdir / f"{key}.json").write_bytes(
+            encode_result({"kind": "trajectory", "stale": True}))
+        cache = ResultCache(disk_dir=tmp_path)
+        assert cache.get(key) is None
+        assert key not in cache
+        assert cache.disk_status()["blobs"] == 0
+        with ScenarioService(cache=cache, window_seconds=0.0) as service:
+            response = service.query(spec, timeout=60.0)
+        assert response.cache == "miss"
+        assert "stale" not in response.result
+        assert (tmp_path / BLOB_SUBDIR / f"{key}.json").is_file()
 
     def test_blob_from_older_numerics_is_not_served(self, tmp_path):
         """A blob at the unversioned path (numerics version 1) is never
@@ -276,22 +322,6 @@ class TestStackedRowIndependence:
 
 
 class TestMicroBatcher:
-    def test_coalesces_identical_specs(self):
-        calls = []
-
-        def run_one(spec):
-            calls.append(spec)
-            return {"v": spec.eps1}
-
-        batcher = MicroBatcher(window_seconds=0.1, run_one=run_one)
-        spec = small_spec()
-        pendings = [batcher.submit_nowait(spec) for _ in range(5)]
-        results = [p.wait(10.0) for p in pendings]
-        batcher.close()
-        assert len(calls) == 1
-        assert results == [{"v": 0.2}] * 5
-        assert all(not p.stacked for p in pendings)
-
     def test_stacks_distinct_compatible_specs(self):
         batches = []
 
@@ -359,6 +389,146 @@ class TestMicroBatcher:
             MicroBatcher(window_seconds=-1.0)
         with pytest.raises(ValueError):
             MicroBatcher(max_batch=0)
+
+    def test_lone_submission_waits_only_the_gap(self):
+        """A window closes once the queue is quiet for a tenth of
+        ``window_seconds``: a lone miss does not wait out the cap."""
+        batcher = MicroBatcher(window_seconds=0.5,
+                               run_one=lambda spec: {"v": spec.eps1})
+        started = time.monotonic()
+        assert batcher.submit(small_spec(), timeout=10.0) == {"v": 0.2}
+        elapsed = time.monotonic() - started
+        batcher.close()
+        assert elapsed < 0.25, elapsed
+
+    def test_arrivals_inside_the_gap_stack(self):
+        """Submissions spaced under the gap (0.1 s here) land in one
+        stacked dispatch, which leaves long before the 1 s cap."""
+        batches = []
+
+        def run_batch(specs):
+            batches.append((time.monotonic(), [s.eps1 for s in specs]))
+            return [{"v": spec.eps1} for spec in specs]
+
+        batcher = MicroBatcher(window_seconds=1.0, run_batch=run_batch)
+        started = time.monotonic()
+        pendings = []
+        for i in (1, 2, 3, 4):
+            pendings.append(batcher.submit_nowait(small_spec(eps1=0.1 * i)))
+            time.sleep(0.02)
+        for pending in pendings:
+            pending.wait(10.0)
+        batcher.close()
+        assert len(batches) == 1 and len(batches[0][1]) == 4
+        assert batches[0][0] - started < 0.6
+        assert all(p.stacked for p in pendings)
+
+    def test_steady_trickle_is_cut_at_the_cap(self):
+        """Arrivals that never leave the queue quiet for the gap keep
+        a window open only until ``window_seconds`` after it opened."""
+        window = 0.4
+        batches = []
+        submitted = {}
+
+        def run_batch(specs):
+            batches.append((time.monotonic(), [s.eps1 for s in specs]))
+            return [{"v": spec.eps1} for spec in specs]
+
+        batcher = MicroBatcher(window_seconds=window, run_batch=run_batch,
+                               run_one=lambda spec: {"v": spec.eps1})
+        pendings = []
+        for i in range(60):  # one every 0.02 s (gap 0.04 s) for 1.2 s
+            eps1 = 0.001 * (i + 1)
+            submitted[eps1] = time.monotonic()
+            pendings.append(batcher.submit_nowait(small_spec(eps1=eps1)))
+            time.sleep(0.02)
+        for pending in pendings:
+            pending.wait(10.0)
+        batcher.close()
+        assert len(batches) >= 2
+        held = [at - submitted[rows[0]] for at, rows in batches]
+        assert max(held) <= window + 0.15, held
+        assert max(held) >= window / 2, held
+
+    def test_zero_window_dispatches_at_once(self):
+        calls = []
+        batcher = MicroBatcher(window_seconds=0.0,
+                               run_one=lambda spec: calls.append(spec) or {},
+                               run_batch=lambda specs: pytest.fail(
+                                   "a zero window stacked"))
+        started = time.monotonic()
+        for i in (1, 2, 3):
+            batcher.submit(small_spec(eps1=0.1 * i), timeout=10.0)
+        elapsed = time.monotonic() - started
+        batcher.close()
+        assert len(calls) == 3
+        assert elapsed < 0.1, elapsed
+
+    def test_unbatchable_specs_take_their_own_lane(self):
+        """A control plan runs in the solo lane: a trajectory miss
+        submitted while it runs is answered without waiting for it."""
+        release = threading.Event()
+
+        def run_one(spec):
+            if spec.control is not None:
+                assert release.wait(10.0)
+                return {"kind": "control"}
+            return {"kind": "trajectory"}
+
+        batcher = MicroBatcher(window_seconds=0.01, run_one=run_one)
+        plan = batcher.submit_nowait(CONTROL)
+        assert plan.batch_key is None
+        trajectory = batcher.submit(small_spec(), timeout=5.0)
+        assert trajectory == {"kind": "trajectory"} and not plan.done
+        release.set()
+        assert plan.wait(5.0) == {"kind": "control"}
+        batcher.close()
+
+    def test_each_wait_is_observed_in_both_lanes(self):
+        with observing(None, sink=MemorySink()) as observer:
+            batcher = MicroBatcher(window_seconds=0.05,
+                                   run_one=lambda spec: {})
+            batcher.submit(CONTROL, timeout=10.0)
+            batcher.submit(small_spec(), timeout=10.0)
+            batcher.close()
+            waits = observer.metrics.snapshot()["histograms"][
+                "serve.batch.wait.seconds"]
+        assert waits["count"] == 2
+        assert waits["max"] >= 0.004  # the trajectory's 5 ms quiet gap
+
+    def test_depth_and_close_cover_both_lanes(self):
+        gates = {"control": threading.Event(), "batch": threading.Event()}
+        started = {"control": threading.Event(), "batch": threading.Event()}
+
+        def run_one(spec):
+            assert spec.control is not None
+            started["control"].set()
+            assert gates["control"].wait(10.0)
+            return {"kind": "control"}
+
+        def run_batch(specs):
+            started["batch"].set()
+            assert gates["batch"].wait(10.0)
+            return [{"kind": "trajectory"}] * len(specs)
+
+        batcher = MicroBatcher(window_seconds=0.2, run_one=run_one,
+                               run_batch=run_batch)
+        pendings = [batcher.submit_nowait(CONTROL),
+                    batcher.submit_nowait(small_spec(eps1=0.1)),
+                    batcher.submit_nowait(small_spec(eps1=0.2))]
+        assert started["control"].wait(5.0) and started["batch"].wait(5.0)
+        pendings.append(batcher.submit_nowait(
+            small_spec(control=ControlSpec(3.0, 7.0, n_grid=5))))
+        assert batcher.depth() == 4  # 1 + 2 dispatching, 1 queued
+        for gate in gates.values():
+            gate.set()
+        batcher.close()
+        assert all(pending.done for pending in pendings)
+        assert batcher.depth() == 0
+        assert not any(thread.is_alive() for thread in (
+            lane.thread for lane in batcher._lanes))
+        with pytest.raises(RuntimeError, match="closed"):
+            batcher.submit_nowait(CONTROL)
 
 
 class TestScenarioService:
@@ -470,6 +640,21 @@ class TestScenarioService:
         assert all(len(s["spec"]) == 12 for s in spans)
         assert snapshot["counters"]["serve.requests"] == 2
         assert snapshot["histograms"]["serve.request.seconds"]["count"] == 2
+
+    def test_batcher_wait_is_registered_and_observed_per_miss(self):
+        with observing(None, sink=MemorySink()) as observer:
+            service = ScenarioService(window_seconds=0.0)
+            assert "serve_batch_wait_seconds_count 0\n" in \
+                observer.metrics.render_text()
+            service.query_many([small_spec(eps1=0.43), small_spec(eps1=0.44),
+                                small_spec(eps1=0.43)], timeout=60.0)
+            service.query(small_spec(eps1=0.44), timeout=60.0)
+            service.close()
+            snapshot = observer.metrics.snapshot()
+        waits = snapshot["histograms"]["serve.batch.wait.seconds"]
+        assert snapshot["counters"]["serve.cache.misses"] == 2
+        assert waits["count"] == 2  # coalesced and hit never reach it
+        assert 0.0 <= waits["min"] <= waits["max"] < 10.0
 
     def test_error_cleans_inflight_and_propagates(self):
         service = ScenarioService(window_seconds=0.0)
