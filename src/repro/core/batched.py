@@ -16,11 +16,10 @@ batch's right-hand side with one set of matrix operations:
 
 The batch integrates through :mod:`repro.numerics.ode_batched`: a
 fixed-grid ``rk4`` run is bitwise identical to B scalar simulations.
-Under ``dopri45`` the compiled kernel of :mod:`repro.numerics.system1`
-integrates each row on its own, as it does a scalar simulation, so a
-stacked row is bitwise equal to the same point simulated alone; without
-a C compiler the generic batched loop matches scalar runs within the
-solver tolerance.
+Under ``dopri45`` each row is its own solve, as a scalar simulation is:
+in the compiled kernel of :mod:`repro.numerics.system1`, or without a C
+compiler in ``ode.dopri45``'s Python loop, so either way a stacked row
+is bitwise equal to the same point simulated alone.
 Controls must be constant per point — time-varying controls stay on the
 scalar :class:`~repro.core.model.HeterogeneousSIRModel` path.
 """
@@ -170,10 +169,11 @@ class BatchedHeterogeneousSIR:
     def _columns(self, rows: np.ndarray | None) -> tuple:
         """``(rows, [ε1, ε2], α, λ)`` for the batch rows ``rows``.
 
-        The selection is cached on the identity of ``rows``: the batched
-        solvers hand over a new array only when a row freezes, and never
-        mutate one they have passed.  The cache is one tuple, replaced
-        whole, so concurrent integrations of one batch stay correct.
+        The selection is cached on the identity of ``rows``: a batched
+        solver hands over one array for all rows, or one per row, and
+        never mutates one it has passed.  The cache is one tuple,
+        replaced whole, so concurrent integrations of one batch stay
+        correct.
         """
         selection = self._selection
         if selection[0] is not rows:
@@ -191,10 +191,11 @@ class BatchedHeterogeneousSIR:
             out: np.ndarray | None = None) -> np.ndarray:
         """Batched System (1) right-hand side on the ``(L, 3n)`` state.
 
-        ``rows`` selects which batch rows ``y`` holds (the batched
-        solvers compact finished rows); ``None`` means all B rows in
-        order.  ``out`` is an optional preallocated result buffer of
-        ``y``'s shape (the batched solvers pass their stage workspace).
+        ``rows`` selects which batch rows ``y`` holds (``dopri45``'s
+        Python loop passes one row at a time); ``None`` means all B
+        rows in order.  ``out`` is an optional preallocated result
+        buffer of ``y``'s shape (``rk4_batched`` passes its stage
+        workspace).
         Row ``b``'s arithmetic is element-for-element the scalar
         :meth:`HeterogeneousSIRModel.rhs` sequence, so fixed-grid
         integrations are bitwise identical to B scalar runs.
@@ -241,9 +242,10 @@ class BatchedHeterogeneousSIR:
         ``method`` is ``"dopri45"`` (default) or ``"rk4"``; the grid
         arguments mirror :meth:`HeterogeneousSIRModel.simulate`.
 
-        dopri45 runs each row in the compiled kernel, as the scalar
-        model does (see :mod:`repro.numerics.system1`); rk4 integrates
-        the full state, bitwise equal to scalar runs.  Either way an
+        dopri45 solves each row on its own, as the scalar model does
+        (in the kernel of :mod:`repro.numerics.system1` where it
+        loaded); rk4 integrates the full state.  Both are bitwise equal
+        to scalar runs.  Either way an
         ``IntegrationError`` trips the observer's ``integration`` alarm
         and a clean run heals it, as in
         :meth:`HeterogeneousSIRModel.simulate`.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -324,7 +324,8 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
     every grid point via cubic Hermite dense output.  The embedded
     4th-order solution drives the local error estimate
     ``err = ||(y5 − y4) / (atol + rtol·max(|y|, |y_new|))||_RMS`` and a PI
-    controller (``β = 0.04``) smooths step-size changes.
+    controller (``β = 0.04``) smooths step-size changes.  ``max_steps``
+    is a budget of attempted steps, accepted or rejected.
 
     ``system1`` (a one-row :class:`~repro.numerics.system1.System1`)
     says that ``f`` is paper System (1) on the ``(3n,)`` state
@@ -336,39 +337,97 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
     :class:`~repro.exceptions.ParameterError`.  Without the kernel (no C
     compiler) the Python loop integrates ``f`` on the full state.
 
-    Every array operation of the loop is the one
-    :func:`~repro.numerics.ode_batched.dopri45_batched` applies to each
-    of its rows, in the same order, so the two loops take the same steps.
-
     Raises :class:`~repro.exceptions.IntegrationError` on step-size
     underflow, NaN states, or step-budget exhaustion.
     """
     grid = _validate_grid(t_eval)
     y0 = _validate_y0(y0)
     start = time.perf_counter()
-    t0, tf = grid[0], grid[-1]
-    span = tf - t0
     if h_max is None:
-        h_max = span
+        h_max = grid[-1] - grid[0]
     if h_init is not None and h_init <= 0:
         raise ParameterError("h_init must be positive")
     if system1 is not None and kernel.library() is not None:
-        return _dopri45_system1(f, system1, y0, grid, start, rtol=rtol,
-                                atol=atol, h_init=h_init, h_max=h_max,
-                                max_steps=max_steps)
+        with np.errstate(all="ignore"):
+            slope = np.asarray(f(grid[0], y0), dtype=float)
+        run = kernel.run(system1, y0[None], grid, slope=slope[None],
+                         rtol=rtol, atol=atol, h_init=h_init, h_max=h_max,
+                         max_attempts=max_steps)
+        out, history = run.y[:, 0], None
+        status, fail_t, fail_h = run.status, run.t, run.h
+        accepted, rejected = int(run.accepted[0]), int(run.rejected[0])
+        h_lo, h_hi = float(run.h_min[0]), float(run.h_max[0])
+    else:
+        out = np.empty((grid.size, y0.size))
+        status, fail_t, fail_h, accepted, rejected, steps = _dopri45_loop(
+            f, y0, grid, out, rtol=rtol, atol=atol, h_init=h_init,
+            h_max=h_max, max_steps=max_steps)
+        history = np.asarray(steps)
+        h_lo = float(history.min()) if history.size else 0.0
+        h_hi = float(history.max()) if history.size else 0.0
+    if status == kernel.MISMATCH:
+        raise ParameterError(
+            "dopri45: system1 does not describe f: their slopes at "
+            f"t={grid[0]:.6g} differ")
+    if status == kernel.UNDERFLOW:
+        raise IntegrationError(
+            f"dopri45 step size underflow at t={fail_t:.6g} (h={fail_h:.3g})")
+    if status == kernel.NONFINITE:
+        raise IntegrationError(
+            f"dopri45 produced non-finite state at t={fail_t:.6g}")
+    if status == kernel.EXHAUSTED:
+        raise IntegrationError(
+            f"dopri45 exhausted {max_steps} steps before reaching "
+            f"t={grid[-1]}")
+    _check_finite(out, "dopri45")
+    warmup_nfev = 2 if h_init is None else 1
+    nfev = warmup_nfev + 6 * (accepted + rejected)
+    stats = SolverStats(
+        accepted=accepted, rejected=rejected, nfev=nfev,
+        warmup_nfev=warmup_nfev, h_min=h_lo, h_max=h_hi,
+        wall_seconds=time.perf_counter() - start, step_sizes=history)
+    _emit_solver_event("dopri45", y0.size, stats)
+    return OdeSolution(grid, out, nfev, "dopri45", stats=stats)
+
+
+class _LoopRun(NamedTuple):
+    """What one solve of :func:`_dopri45_loop` returns.
+
+    ``status`` is one of :mod:`~repro.numerics.system1`'s codes; when it
+    is not ``OK``, the solve failed at time ``t`` with step ``h``, as a
+    row of :func:`~repro.numerics.system1.run` reports it.
+    """
+
+    status: int
+    t: float
+    h: float
+    accepted: int
+    rejected: int
+    step_sizes: list[float]
+
+
+def _dopri45_loop(f: RhsFunction, y0: np.ndarray, grid: np.ndarray,
+                  out: np.ndarray, *, rtol: float, atol: float,
+                  h_init: float | None, h_max: float,
+                  max_steps: int) -> _LoopRun:
+    """:func:`dopri45`'s step loop, writing the ``(m, d)`` output ``out``.
+
+    The loop behind solo Python solves and, row by row, behind
+    :func:`~repro.numerics.ode_batched.dopri45_batched` without the
+    kernel.  It makes at most ``max_steps`` attempts and reports a
+    failure in the returned status instead of raising it.
+    """
+    t0, tf = grid[0], grid[-1]
     dim = y0.size
     if h_init is None:
         h, f0 = _initial_step(f, t0, y0, rtol, atol, h_max)
-        nfev = 2
     else:
         h = min(h_init, h_max)
         f0 = f(t0, y0)
-        nfev = 1
 
     # Workspaces.  ``y`` and ``y5`` (the trial point) swap on every
     # accepted step, as do ``size`` and ``size5``, their absolute values.
     y = y0.copy()
-    out = np.empty((grid.size, dim))
     out[0] = y
     next_output = 1  # index into grid of the next output point to fill
     y5 = np.empty(dim)
@@ -381,7 +440,6 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
 
     t = t0
     k[0] = f0
-    warmup_nfev = nfev
     accepted = rejected = 0
     step_sizes: list[float] = []
     err_prev = 1.0
@@ -389,21 +447,20 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
     min_factor, max_factor = 0.2, 5.0
     order = 5.0
 
-    for _ in range(max_steps):
-        if t >= tf:
-            break
+    while t < tf:
+        if accepted + rejected >= max_steps:
+            return _LoopRun(kernel.EXHAUSTED, t, h, accepted, rejected,
+                            step_sizes)
         h = min(h, tf - t, h_max)
         if not h >= 1e-14 * max(abs(t), 1.0):  # a NaN step too
-            raise IntegrationError(
-                f"dopri45 step size underflow at t={t:.6g} (h={h:.3g})"
-            )
+            return _LoopRun(kernel.UNDERFLOW, t, h, accepted, rejected,
+                            step_sizes)
         # Stage evaluations (FSAL: k[0] holds f(t, y)).
         for stage in range(1, 7):
             np.matmul(_DP_A[stage], k[:stage], out=y_stage)
             y_stage *= h
             y_stage += y
             k[stage] = f(t + _DP_C[stage] * h, y_stage)
-        nfev += 6
         np.matmul(_DP_B5, k, out=y5)
         y5 *= h
         np.matmul(_DP_B4, k, out=y_stage)
@@ -425,7 +482,8 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
             rejected += 1
             h *= 0.25
             if not h >= 1e-14 * max(abs(t), 1.0):
-                raise IntegrationError(f"dopri45 produced non-finite state at t={t:.6g}")
+                return _LoopRun(kernel.NONFINITE, t, h, accepted, rejected,
+                                step_sizes)
             continue
         if err <= 1.0:
             # Accept: emit dense output for all grid points inside (t, t+h].
@@ -449,64 +507,11 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
         else:
             rejected += 1
             h *= max(min_factor, safety * err ** (-1.0 / order))
-    else:
-        raise IntegrationError(
-            f"dopri45 exhausted {max_steps} steps before reaching t={tf}"
-        )
 
     if next_output < grid.size:
         # Numerical edge: final grid point equals tf within round-off.
         out[next_output:] = y
-    _check_finite(out, "dopri45")
-    history = np.asarray(step_sizes)
-    stats = SolverStats(
-        accepted=accepted, rejected=rejected, nfev=nfev,
-        warmup_nfev=warmup_nfev,
-        h_min=float(history.min()) if history.size else 0.0,
-        h_max=float(history.max()) if history.size else 0.0,
-        wall_seconds=time.perf_counter() - start, step_sizes=history)
-    _emit_solver_event("dopri45", dim, stats)
-    return OdeSolution(grid, out, nfev, "dopri45", stats=stats)
-
-
-def _dopri45_system1(f: RhsFunction, system1: System1, y0: np.ndarray,
-                     grid: np.ndarray, start: float, *, rtol: float,
-                     atol: float, h_init: float | None, h_max: float,
-                     max_steps: int) -> OdeSolution:
-    """:func:`dopri45` on System (1) as a kernel batch of one."""
-    # The Python loop spends its last iteration on the exit test, so it
-    # attempts at most max_steps − 1 steps.
-    with np.errstate(all="ignore"):
-        slope = np.asarray(f(grid[0], y0), dtype=float)
-    run = kernel.run(system1, y0[None], grid, slope=slope[None], rtol=rtol,
-                     atol=atol, h_init=h_init, h_max=h_max,
-                     max_attempts=max_steps - 1)
-    if run.status == kernel.MISMATCH:
-        raise ParameterError(
-            "dopri45: system1 does not describe f: their slopes at "
-            f"t={grid[0]:.6g} differ")
-    if run.status == kernel.UNDERFLOW:
-        raise IntegrationError(
-            f"dopri45 step size underflow at t={run.t:.6g} (h={run.h:.3g})")
-    if run.status == kernel.NONFINITE:
-        raise IntegrationError(
-            f"dopri45 produced non-finite state at t={run.t:.6g}")
-    if run.status == kernel.EXHAUSTED:
-        raise IntegrationError(
-            f"dopri45 exhausted {max_steps} steps before reaching "
-            f"t={grid[-1]}")
-    out = run.y[:, 0]
-    _check_finite(out, "dopri45")
-    accepted, rejected = int(run.accepted[0]), int(run.rejected[0])
-    warmup_nfev = 2 if h_init is None else 1
-    nfev = warmup_nfev + 6 * (accepted + rejected)
-    stats = SolverStats(
-        accepted=accepted, rejected=rejected, nfev=nfev,
-        warmup_nfev=warmup_nfev, h_min=float(run.h_min[0]),
-        h_max=float(run.h_max[0]),
-        wall_seconds=time.perf_counter() - start)
-    _emit_solver_event("dopri45", y0.size, stats)
-    return OdeSolution(grid, out, nfev, "dopri45", stats=stats)
+    return _LoopRun(kernel.OK, t, h, accepted, rejected, step_sizes)
 
 
 def _initial_step(f: RhsFunction, t0: float, y0: np.ndarray,

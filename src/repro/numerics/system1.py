@@ -30,7 +30,8 @@ the kernel allocates its workspace per call, so concurrent calls share
 nothing mutable.
 Without a compiler, or when the build fails, :func:`library` logs one
 ``numerics.kernel_unavailable`` warning and returns ``None``, and the
-solvers integrate the full (S, I, R) state in their generic loops.
+solvers integrate the full (S, I, R) state in
+:func:`~repro.numerics.ode.dopri45`'s Python loop, one row at a time.
 
 ``library().path`` names the library a process loaded.
 """
@@ -90,7 +91,9 @@ class System1:
 
 
 class KernelRun(NamedTuple):
-    """What one kernel call returns.
+    """What one kernel call returns, and the form in which
+    :func:`~repro.numerics.ode_batched.dopri45_batched` reports the rows
+    of its Python loop.
 
     ``y`` is ``(m, B, 3n)``; the step counts and accepted-step ranges
     are ``(B,)``.  When ``status`` is not :data:`OK`, row ``row`` failed
@@ -170,10 +173,10 @@ def _load() -> Callable[..., int] | None:
         if directory == dirs[0]:
             _prune(directory, keep=name)
         return _bind(built)
-    except Exception as error:  # noqa: BLE001 - any failure: generic path
+    except Exception as error:  # noqa: BLE001 - any failure: Python loop
         reason = getattr(error, "stderr", None) or error
         warning("numerics.kernel_unavailable", reason=str(reason).strip(),
-                fallback="generic dopri45 loops on (S, I, R)")
+                fallback="Python dopri45 loop on (S, I, R)")
         return None
 
 

@@ -52,8 +52,11 @@ __all__ = ["NUMERICS_VERSION", "ResultCache", "encode_result", "engine"]
 #: full (S, I, R) state; version 2 carries (S, I) and rebuilds R;
 #: version 3 solves it in the compiled kernel
 #: (:mod:`repro.numerics.system1`), or in the NumPy loops where the
-#: kernel did not load, which answer within 1e-5 of it.
-NUMERICS_VERSION = 3
+#: kernel did not load, which answer within 1e-5 of it; version 4 runs
+#: each stacked NumPy row through ``ode.dopri45``'s loop, so a stacked
+#: answer is bitwise the solo answer on that engine too (kernel answers
+#: did not move).
+NUMERICS_VERSION = 4
 
 
 def engine() -> str:

@@ -121,9 +121,9 @@ class TestResultCache:
         ResultCache(disk_dir=tmp_path).put(key, {"kind": "trajectory"})
         blobs = [path.relative_to(tmp_path).as_posix()
                  for path in tmp_path.rglob("*.json")]
-        assert NUMERICS_VERSION == 3
+        assert NUMERICS_VERSION == 4
         name = "kernel" if library() is not None else "numpy"
-        assert blobs == [f"numerics-3-{name}/{key}.json"]
+        assert blobs == [f"numerics-4-{name}/{key}.json"]
 
     def test_a_daemon_without_the_kernel_writes_under_numpy(
             self, tmp_path, monkeypatch):
@@ -131,16 +131,20 @@ class TestResultCache:
 
         monkeypatch.setattr(system1, "library", lambda: None)
         ResultCache(disk_dir=tmp_path).put("k", {"kind": "trajectory"})
-        assert (tmp_path / "numerics-3-numpy" / "k.json").is_file()
+        assert (tmp_path / "numerics-4-numpy" / "k.json").is_file()
 
-    @pytest.mark.parametrize("subdir", ["numerics-3", "other-engine"])
+    @pytest.mark.parametrize("subdir", ["numerics-3", "other-engine",
+                                        "numerics-3-engine"])
     def test_blob_from_another_engine_is_not_served(self, tmp_path, subdir):
-        """A blob written by the other engine, or under the engine-less
-        version 3 directory that either engine used to write, is never
-        read, and the disk status does not count it."""
+        """A blob written by the other engine, under the engine-less
+        version 3 directory that either engine used to write, or by this
+        engine under version 3, is never read, and the disk status does
+        not count it."""
         if subdir == "other-engine":
             other = {"kernel": "numpy", "numpy": "kernel"}[engine()]
-            subdir = f"numerics-3-{other}"
+            subdir = f"numerics-{NUMERICS_VERSION}-{other}"
+        elif subdir == "numerics-3-engine":
+            subdir = f"numerics-3-{engine()}"
         spec = small_spec()
         key = spec.spec_hash()
         (tmp_path / subdir).mkdir()

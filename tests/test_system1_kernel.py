@@ -1,11 +1,12 @@
-"""The compiled System (1) kernel and the generic loops it replaces.
+"""The compiled System (1) kernel and the Python loop it falls back to.
 
 The contract under test (see ``repro.numerics.system1``):
 
 * without a C compiler the loader logs one warning, and System (1)
-  integrates in the generic loops on (S, I, R) with the kernel's step
-  counts and answers within ``rtol=1e-5, atol=1e-10``, solo, stacked,
-  and under every solver option;
+  integrates in ``ode.dopri45``'s Python loop on (S, I, R), one row at a
+  time, with the kernel's step counts and answers within ``rtol=1e-5,
+  atol=1e-10``, solo, stacked, and under every solver option; there a
+  stacked row equals the solo run bit for bit, as on the kernel;
 * a second process loads the cached library without compiling, and no
   process reads or writes a cache directory others can write;
 * a build into the package's ``__pycache__`` deletes the libraries of
@@ -14,8 +15,10 @@ The contract under test (see ``repro.numerics.system1``):
   same, solo and stacked;
 * the solvers call ``f`` once, at ``t0``, and refuse constants whose
   slope there is not ``f``'s;
-* the kernel's failures raise the generic loops' messages, naming the
+* the kernel's failures raise the Python loop's messages, naming the
   batch row, and trip and heal the integration alarm, solo and stacked;
+* ``max_steps`` is a budget of attempts on either engine: a solve that
+  needs K attempts finishes with ``max_steps=K``;
 * concurrent solves, which run with the GIL released, equal serial ones.
 """
 
@@ -111,6 +114,7 @@ class TestFallback:
         assert generic[3] == kernel[3]          # stacked step counts
         assert np.allclose(generic[0], kernel[0], rtol=RTOL, atol=ATOL)
         assert np.allclose(generic[2], kernel[2], rtol=RTOL, atol=ATOL)
+        assert np.array_equal(generic[2], generic[0])  # stacked is solo
 
     def test_one_warning(self, no_kernel):
         grid = np.linspace(0.0, 10.0, 11)
@@ -348,7 +352,7 @@ class TestSlopeCheck:
 
 @kernel_required
 class TestErrorPaths:
-    """Kernel failures: the generic loops' messages, the row named."""
+    """Kernel failures: the Python loop's messages, the row named."""
 
     N = 8
 
@@ -420,6 +424,28 @@ class TestErrorPaths:
             initial, t_final=10.0, max_steps=max_steps))
         prefix = f"dopri45-batched {prefix} (first stuck row 0 at t="
         assert all(message.startswith(prefix) for message in messages)
+
+    @pytest.mark.parametrize("engine", ["kernel", "numpy"])
+    def test_max_steps_is_a_budget_of_attempts(self, request, engine):
+        """A solve that needs K attempts finishes with ``max_steps=K``
+        and is exhausted with ``max_steps=K - 1``.  (Stacked rows: see
+        ``test_stacked_exhaustion[later-row-finishes]``.)"""
+        if engine == "numpy":
+            request.getfixturevalue("no_kernel")
+        model = HeterogeneousSIRModel(params_of(self.N))
+        initial = SIRState.initial(self.N, 0.05)
+
+        def attempts(**options) -> int:
+            with observing() as observer:
+                model.simulate(initial, t_final=10.0, eps1=0.1, eps2=0.05,
+                               **options)
+            (event,) = observer.sink.of_type("solver")
+            return event["accepted"] + event["rejected"]
+        needed = attempts()
+        assert attempts(max_steps=needed) == needed
+        with pytest.raises(IntegrationError,
+                           match=f"exhausted {needed - 1} steps"):
+            attempts(max_steps=needed - 1)
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["solo", "stacked"])
     def test_nan_first_step_fails_at_once(self, request, stacked):
