@@ -133,9 +133,9 @@ class SLOTracker:
             "queue_depth": int(queue_depth),
         }
 
-    def publish(self, metrics, *, queue_depth: int = 0,
-                prefix: str = "serve.slo") -> dict[str, float | int]:
-        """Set ``<prefix>.*`` gauges from a fresh snapshot; return it.
+    def publish(self, metrics, *,
+                queue_depth: int = 0) -> dict[str, float | int]:
+        """Set ``serve.slo.*`` gauges from a fresh snapshot; return it.
 
         Gauges are last-write-wins, so republishing on every
         ``/metrics`` scrape keeps them current without any background
@@ -145,5 +145,5 @@ class SLOTracker:
         """
         snap = self.snapshot(queue_depth=queue_depth)
         for key, value in snap.items():
-            metrics.gauge(f"{prefix}.{key}").set(float(value))
+            metrics.gauge(f"serve.slo.{key}").set(float(value))
         return snap

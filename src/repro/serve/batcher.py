@@ -27,20 +27,20 @@ The batcher does not coalesce: :class:`~repro.serve.service.ScenarioService`
 joins identical in-flight specs before they reach it, so the same spec
 submitted here twice integrates twice.
 
-Each result is encoded to its JSON bytes
-(:func:`~repro.serve.cache.encode_result`) once, here, before its
-waiter wakes: the waiter, the service's coalesced waiters and every
-later cache hit serve those same bytes.  Each request's wait, from
-submission to the start of its integration, feeds the
-``serve.batch.wait.seconds`` histogram.
+Each submission returns a :class:`PendingResult`, a
+:class:`concurrent.futures.Future` whose result is the answer's JSON
+bytes (:func:`~repro.serve.cache.encode_result`), encoded once, here,
+before the future completes: its waiters, the service's coalesced
+waiters and every later cache hit serve those same bytes.  Each
+request's wait, from submission to the start of its integration, feeds
+the ``serve.batch.wait.seconds`` histogram.
 
 Failures propagate: if a group's integration (or encoding) raises,
-every waiter in that group re-raises the original exception; other
-groups in the window are unaffected.
+every future in that group is completed with the original exception;
+other groups in the window are unaffected.
 
-Waiters block on per-request events (:class:`PendingResult`), so the
-batcher adds no threads per request and shuts down cleanly by draining
-both queues (:meth:`MicroBatcher.close`).
+The batcher adds no threads per request and shuts down cleanly by
+draining both queues (:meth:`MicroBatcher.close`).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from concurrent.futures import Future
 from typing import Callable, Sequence
 
 from repro.obs.trace import current_trace_ids, get_observer, tracing
@@ -67,18 +68,19 @@ _POLL_SECONDS = 0.05
 _GAP_FRACTION = 0.1
 
 
-class PendingResult:
-    """One submitted spec's future result.
+class PendingResult(Future):
+    """One submitted spec's future: its result is the answer's JSON bytes.
 
-    Waiters block on :meth:`wait`; the dispatcher completes the pending
-    with :meth:`resolve` (carrying the result's JSON bytes as
-    :attr:`body` and whether it came from a stacked integration) or
-    :meth:`fail` (the waiter re-raises the original exception).
+    The dispatcher completes it with the bytes, or with the exception
+    its group's integration raised, after setting :attr:`stacked`.  It
+    is running from submission on, so it cannot be cancelled: the
+    dispatcher owns every queued spec until it completes.
     """
 
     def __init__(self, spec: ScenarioSpec) -> None:
+        super().__init__()
+        self.set_running_or_notify_cancel()
         self.spec = spec
-        self.spec_hash = spec.spec_hash()
         self.batch_key = spec.batch_key()
         self.stacked = False
         self.submitted = time.perf_counter()
@@ -86,39 +88,6 @@ class PendingResult:
         # thread, so capture them at submission time; the dispatcher
         # re-establishes the group's union around the integration.
         self.trace_ids = current_trace_ids()
-        self._done = threading.Event()
-        self._result: dict[str, object] | None = None
-        self.body: bytes | None = None
-        self._error: BaseException | None = None
-
-    def resolve(self, result: dict[str, object], body: bytes, *,
-                stacked: bool = False) -> None:
-        """Complete with the result and its encoding; wakes every waiter."""
-        self._result = result
-        self.body = body
-        self.stacked = stacked
-        self._done.set()
-
-    def fail(self, error: BaseException) -> None:
-        """Complete with an error; waiters re-raise it."""
-        self._error = error
-        self._done.set()
-
-    @property
-    def done(self) -> bool:
-        """Whether the pending has been resolved or failed."""
-        return self._done.is_set()
-
-    def wait(self, timeout: float | None = None) -> dict[str, object]:
-        """Block until completion and return (or re-raise) the outcome."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"scenario {self.spec_hash[:12]} not completed within "
-                f"{timeout}s")
-        if self._error is not None:
-            raise self._error
-        assert self._result is not None
-        return self._result
 
 
 class _Lane:
@@ -175,7 +144,7 @@ class MicroBatcher:
 
     # -- submission --------------------------------------------------------
     def submit_nowait(self, spec: ScenarioSpec) -> PendingResult:
-        """Enqueue a spec and return its pending without blocking.
+        """Enqueue a spec and return its future without blocking.
 
         Submitting several specs before waiting on any of them lands
         them all in one window — how ``query_many`` turns a sweep into
@@ -187,11 +156,6 @@ class MicroBatcher:
         lane = self._solo if pending.batch_key is None else self._stacking
         lane.queue.put(pending)
         return pending
-
-    def submit(self, spec: ScenarioSpec,
-               timeout: float | None = None) -> dict[str, object]:
-        """Enqueue a spec and block until its result is ready."""
-        return self.submit_nowait(spec).wait(timeout)
 
     def depth(self) -> int:
         """Requests queued or dispatching in either lane (SLO queue depth)."""
@@ -262,10 +226,11 @@ class MicroBatcher:
                 bodies = [encode_result(result) for result in results]
             except BaseException as error:  # propagate to every waiter
                 for pending in group:
-                    pending.fail(error)
+                    pending.set_exception(error)
                 continue
-            for pending, result, body in zip(group, results, bodies):
-                pending.resolve(result, body, stacked=stacked)
+            for pending, body in zip(group, bodies):
+                pending.stacked = stacked
+                pending.set_result(body)
 
     def _run_group(self, group: list[PendingResult],
                    stacked: bool) -> list[dict[str, object]]:

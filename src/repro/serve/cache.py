@@ -34,7 +34,9 @@ coalesced in-flight wait does), so it calls :meth:`record_hit` /
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -102,7 +104,8 @@ class ResultCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._disk_errors = 0
+        self._read_errors = 0
+        self._write_errors = 0
 
     # -- storage -----------------------------------------------------------
     def get(self, key: str, *,
@@ -189,22 +192,23 @@ class ResultCache:
         """Disk-tier summary for ``/healthz``.
 
         ``tier`` is ``"disabled"`` (no ``disk_dir``), ``"ok"``, or
-        ``"degraded"`` (at least one unreadable blob observed).
-        ``blobs`` counts the blobs of the current numerics version and
-        engine only; a missing directory just means nothing has been
-        written yet.
+        ``"degraded"`` (at least one unreadable blob or failed write
+        observed).  ``blobs`` counts the blobs of the current numerics
+        version and engine only; a missing directory just means nothing
+        has been written yet.
         """
         with self._lock:
-            errors = self._disk_errors
+            errors = {"read_errors": self._read_errors,
+                      "write_errors": self._write_errors}
         if self._blob_dir is None:
-            return {"tier": "disabled", "blobs": 0, "read_errors": errors}
+            return {"tier": "disabled", "blobs": 0, **errors}
         try:
             blobs = sum(1 for _ in self._blob_dir.glob("*.json"))
         except OSError:
-            return {"tier": "degraded", "blobs": 0,
-                    "read_errors": errors + 1}
-        return {"tier": "degraded" if errors else "ok", "blobs": blobs,
-                "read_errors": errors}
+            errors["read_errors"] += 1
+            return {"tier": "degraded", "blobs": 0, **errors}
+        return {"tier": "degraded" if any(errors.values()) else "ok",
+                "blobs": blobs, **errors}
 
     @staticmethod
     def _inc(metric: str) -> None:
@@ -232,7 +236,7 @@ class ResultCache:
             # health watchdog should see: a stream of them points at a
             # failing disk or an unsafe concurrent writer.
             with self._lock:
-                self._disk_errors += 1
+                self._read_errors += 1
             observer = get_observer()
             if observer is not None:
                 observer.health.check_cache_blob(
@@ -245,13 +249,20 @@ class ResultCache:
         return body
 
     def _write_disk(self, key: str, body: bytes) -> None:
+        """Publish a blob by renaming a temporary file of its own, so no
+        reader or second writer of the key (another daemon sharing the
+        directory) sees it half-written; a failed write is counted."""
         if self._blob_dir is None:
             return
-        self._blob_dir.mkdir(parents=True, exist_ok=True)
-        path = self._blob_dir / f"{key}.json"
-        tmp = path.with_suffix(".json.tmp")
+        # Not tempfile.mkstemp: the blob would keep its file's mode 0600,
+        # unreadable to another user's daemon sharing the directory.
+        tmp = self._blob_dir / f"{key}.{os.urandom(8).hex()}.tmp"
         try:
+            self._blob_dir.mkdir(parents=True, exist_ok=True)
             tmp.write_bytes(body)
-            tmp.replace(path)  # atomic on POSIX: readers never see a torn blob
+            tmp.replace(self._blob_dir / f"{key}.json")
         except OSError:
-            tmp.unlink(missing_ok=True)
+            with self._lock:
+                self._write_errors += 1
+            with contextlib.suppress(OSError):
+                tmp.unlink()

@@ -6,8 +6,10 @@ in ``docs/SERVICE.md``):
 
 * ``POST /scenario`` — body is a :class:`~repro.serve.spec.ScenarioSpec`
   JSON payload.  Synchronous by default (the response carries the
-  result plus cache/batching telemetry); ``?mode=async`` answers
-  ``202 Accepted`` immediately with a poll path.  A body declared
+  result plus cache/batching telemetry); ``?mode=async`` stages the
+  spec in the service and answers ``202 Accepted`` at once with a poll
+  path, with no thread left waiting for the answer: the service caches
+  it when the integration completes.  A body declared
   larger than :data:`MAX_BODY_BYTES` is answered ``413`` unread (and
   never invited with ``100 Continue``), and the connection closes.
   Any other body is read before the answer, an error or a ``404``
@@ -252,24 +254,13 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
         }, response.body)
 
     def _submit_async(self, spec: ScenarioSpec) -> None:
-        """202 + poll path; a worker thread owns the actual query."""
-        service = self.server.service
+        """Stage the spec and answer 202 with its poll path at once."""
+        with tracing(self._trace_id or ""):
+            self.server.service.submit(spec)
         spec_hash = spec.spec_hash()
-        trace_id = self._trace_id
-
-        def traced_query(spec: ScenarioSpec) -> None:
-            # Context variables do not cross threads: re-establish the
-            # request's trace id inside the worker.
-            with tracing(trace_id or ""):
-                service.query(spec)
-
-        worker = threading.Thread(
-            target=_swallow_errors(traced_query), args=(spec,),
-            name="repro-serve-async", daemon=True)
-        worker.start()
         self._respond_json(202, {
             "spec_hash": spec_hash,
-            "trace_id": trace_id,
+            "trace_id": self._trace_id,
             "status": "accepted",
             "poll": f"/scenario/{spec_hash}",
         })
@@ -282,11 +273,14 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
                          f"({_HASH_LEN} lowercase hex digits)"})
             return
         service = self.server.service
+        # In flight first: a miss is cached before its in-flight entry
+        # goes, so a spec found no longer in flight is in the cache.
+        in_flight = service.pending(spec_hash)
         body = service.cache.get(spec_hash, encoded=True)
         if body is not None:
             self._respond_result(200, {"spec_hash": spec_hash,
                                        "cache": "hit"}, body)
-        elif service.pending(spec_hash) is not None:
+        elif in_flight:
             self._respond_json(202, {"spec_hash": spec_hash,
                                      "status": "pending"})
         else:
@@ -343,16 +337,6 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
             observer.emit("log", level="debug", event="serve.http",
                           fields={"client": self.address_string(),
                                   "line": format % args})
-
-
-def _swallow_errors(fn):
-    """Async workers surface failures via the poll 404, not a traceback."""
-    def runner(*args: object) -> None:
-        try:
-            fn(*args)
-        except Exception:
-            pass
-    return runner
 
 
 def _render_metrics() -> str:

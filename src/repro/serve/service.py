@@ -14,10 +14,14 @@ Per query, under one lock:
    the batcher never sees the same hash twice at once;
 3. **miss** — the query is submitted to the
    :class:`~repro.serve.batcher.MicroBatcher` and registered as the
-   hash's owner; on completion the owner stores the result's encoding
-   and clears the in-flight entry.  The batcher stacks trajectory
-   misses that arrive together and runs control plans in a lane of
-   their own.
+   hash's owner.  The batcher stacks trajectory misses that arrive
+   together and runs control plans in a lane of their own.
+
+Every miss is finished in one place, ``_complete``, which stores the
+result's bytes and then drops the in-flight entry.  It runs when the
+miss completes, whether or not anyone still waits, and in the owner
+once its wait returns, so the owner's answer is a cache hit for the
+next query.  A waiter that gives up does not stop the integration.
 
 Every response carries the result's JSON bytes, encoded once when the
 integration completed; its ``result`` dict is decoded from them only
@@ -27,13 +31,15 @@ So N identical concurrent queries cost exactly one integration: one
 owner (miss), N−1 coalesced waiters (hits) — the property the
 end-to-end service test pins down.
 
-Observability: each query emits a ``serve.request`` span event (spec
-short-hash, cache status, stacked flag) and feeds the
-``serve.request.seconds`` histogram; each miss's wait in the batcher
-feeds ``serve.batch.wait.seconds``; cache counters live in
-:class:`~repro.serve.cache.ResultCache`.  With no observer installed
-the pipeline is pure computation — a lone request runs the identical
-scalar path as calling the model directly.
+Observability: each answered query emits a ``serve.request`` span
+event (spec short-hash, cache status, stacked flag), feeds the
+``serve.request.seconds`` histogram and records an SLO sample (a
+failed or timed-out one records an error sample); each miss's wait in
+the batcher feeds ``serve.batch.wait.seconds``; cache counters live in
+:class:`~repro.serve.cache.ResultCache`.  A submission counts only as
+a cache hit or miss, since it answers nothing.  With no observer
+installed the pipeline is pure computation — a lone request runs the
+identical scalar path as calling the model directly.
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ from __future__ import annotations
 import json
 import threading
 import time
+from concurrent import futures
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 from repro.obs.slo import SLOTracker
@@ -107,12 +114,11 @@ class ScenarioService:
     def __init__(self, cache: ResultCache | None = None, *,
                  window_seconds: float = 0.01, max_batch: int = 64,
                  cache_entries: int = 1024,
-                 cache_dir: str | None = None,
-                 slo_window_seconds: float = 60.0) -> None:
+                 cache_dir: str | None = None) -> None:
         self.cache = cache if cache is not None else ResultCache(
             cache_entries, cache_dir)
         self.batcher = MicroBatcher(window_seconds, max_batch)
-        self.slo = SLOTracker(slo_window_seconds)
+        self.slo = SLOTracker()
         self._inflight: dict[str, PendingResult] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -144,9 +150,54 @@ class ScenarioService:
 
         Submitting the whole list up front lands every cache-missing
         spec in the same batching window, so a compatible what-if sweep
-        integrates as one stacked system.
+        integrates as one stacked system.  ``timeout`` bounds each
+        wait: a wait that runs out raises :class:`TimeoutError`, while
+        the integration goes on and its result is cached.
         """
         started = time.perf_counter()
+        responses: list[ScenarioResponse] = []
+        first_error: BaseException | None = None
+        for key, status, payload in self._stage(specs):
+            if status == "hit":
+                responses.append(self._respond(key, payload, "hit", False,
+                                               started))
+                continue
+            error: BaseException | None = None
+            try:
+                body = payload.result(timeout)
+            except futures.TimeoutError:
+                # Not the built-in TimeoutError before Python 3.11.
+                error = TimeoutError(f"scenario {short_hash(key)} not "
+                                     f"answered within {timeout}s")
+            except BaseException as exc:
+                error = exc
+            if status == "miss" and payload.done():
+                # Stored before answering, so the next query hits.
+                self._complete(key, payload)
+            if error is None:
+                responses.append(self._respond(key, body, status,
+                                               payload.stacked, started))
+                continue
+            self.slo.record(time.perf_counter() - started, error=True)
+            observer = get_observer()
+            if observer is not None:
+                observer.metrics.inc("serve.errors")
+            if first_error is None:
+                first_error = error
+        if first_error is not None:
+            raise first_error
+        return responses
+
+    def submit(self, spec: ScenarioSpec) -> None:
+        """Stage a spec without waiting: a miss is integrated and cached
+        whether or not anyone asks again.  It counts as a cache hit or
+        miss, but as no request, since it answers nothing."""
+        self._stage([spec])
+
+    def _stage(self, specs: Sequence[ScenarioSpec]
+               ) -> list[tuple[str, str, object]]:
+        """``(key, "hit", body)``, ``(key, "coalesced", future)`` or
+        ``(key, "miss", future)`` for each spec, in order."""
         staged: list[tuple[str, str, object]] = []
         with self._lock:
             if self._closed:
@@ -167,41 +218,26 @@ class ScenarioService:
                 pending = self.batcher.submit_nowait(spec)
                 self._inflight[key] = pending
                 staged.append((key, "miss", pending))
-        responses: list[ScenarioResponse] = []
-        first_error: BaseException | None = None
-        for key, status, payload in staged:
-            if status == "hit":
-                responses.append(self._respond(key, payload, "hit", False,
-                                               started))
-                continue
-            pending = payload
-            try:
-                pending.wait(timeout)
-            except BaseException as error:
-                if status == "miss":
-                    with self._lock:
-                        self._inflight.pop(key, None)
-                self.slo.record(time.perf_counter() - started, error=True)
-                observer = get_observer()
-                if observer is not None:
-                    observer.metrics.inc("serve.errors")
-                if first_error is None:
-                    first_error = error
-                continue
+        # Outside the lock: a future that is already done runs its
+        # callback at once, in this thread, and _complete takes the lock.
+        for key, status, pending in staged:
             if status == "miss":
-                self.cache.put(key, pending.body)
-                with self._lock:
-                    self._inflight.pop(key, None)
-            responses.append(self._respond(key, pending.body, status,
-                                           pending.stacked, started))
-        if first_error is not None:
-            raise first_error
-        return responses
+                pending.add_done_callback(partial(self._complete, key))
+        return staged
 
-    def pending(self, key: str) -> PendingResult | None:
-        """The in-flight pending for a spec hash, if any (poll support)."""
+    def _complete(self, key: str, pending: PendingResult) -> None:
+        """Store a completed miss's bytes (not a failure's), then drop
+        its in-flight entry if it still holds this future; idempotent."""
+        if pending.exception() is None:
+            self.cache.put(key, pending.result())
         with self._lock:
-            return self._inflight.get(key)
+            if self._inflight.get(key) is pending:
+                del self._inflight[key]
+
+    def pending(self, key: str) -> bool:
+        """Whether an integration for a spec hash is in flight."""
+        with self._lock:
+            return key in self._inflight
 
     def _respond(self, key: str, body: bytes, status: str,
                  stacked: bool, started: float) -> ScenarioResponse:
@@ -218,16 +254,16 @@ class ScenarioService:
         return ScenarioResponse(key, body, status, stacked, seconds)
 
     # -- health/SLO --------------------------------------------------------
-    def slo_snapshot(self, *, publish: bool = True) -> dict[str, float | int]:
+    def slo_snapshot(self) -> dict[str, float | int]:
         """Current sliding-window SLO summary (see :class:`SLOTracker`).
 
-        With ``publish`` (the default) the snapshot is also written to
-        the observer's ``serve.slo.*`` gauges, so a ``/metrics`` scrape
-        refreshes what it reports.
+        With an observer installed the snapshot is also written to its
+        ``serve.slo.*`` gauges, so a ``/metrics`` scrape refreshes what
+        it reports.
         """
         observer = get_observer()
         depth = self.batcher.depth()
-        if publish and observer is not None:
+        if observer is not None:
             return self.slo.publish(observer.metrics, queue_depth=depth)
         return self.slo.snapshot(queue_depth=depth)
 

@@ -28,8 +28,9 @@ Execution guarantees:
 * :func:`execute_scenario_batch` stacks compatible specs (same
   :meth:`ScenarioSpec.batch_key`) into one
   :class:`~repro.core.batched.BatchedHeterogeneousSIR` integration;
-  per-row results match the scalar path within the batched engine's
-  documented tolerance (≤ ~1e-13, see ``docs/PERFORMANCE.md``).
+  each row's result equals the scalar path's bit for bit, under
+  ``dopri45`` and ``rk4``, on both engines (the compiled System (1)
+  kernel and the NumPy fallback), whatever its batch-mates.
 """
 
 from __future__ import annotations
@@ -393,8 +394,9 @@ class ModelFamily:
 
     ``run`` evaluates a single spec on the scalar path; ``run_batch``
     (optional) evaluates a batch-compatible group as one stacked system
-    and must return one result mapping per spec, in order, matching the
-    scalar results within the batched engine's tolerance.
+    and must return one result mapping per spec, in order, equal to the
+    scalar results bit for bit (``heterogeneous_sir``'s are, on both
+    engines).
     """
 
     name: str

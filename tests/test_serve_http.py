@@ -139,6 +139,48 @@ class TestEndpoints:
             assert polled["result"]["kind"] == "trajectory"
             assert polled["spec_hash"] == accepted["spec_hash"]
 
+    def test_async_posts_start_no_thread(self, monkeypatch):
+        """Async POSTs are staged and answered 202 at once: while their
+        solves are held back, no thread waits on them, and every poll
+        then reaches 200."""
+        from repro.serve.spec import MODEL_FAMILIES, ModelFamily, get_family
+
+        base = get_family("heterogeneous_sir")
+        gate = threading.Event()
+
+        def gated(run):
+            def held(arg):
+                assert gate.wait(30.0)
+                return run(arg)
+            return held
+
+        monkeypatch.setitem(MODEL_FAMILIES, "gated_sir", ModelFamily(
+            "gated_sir", "test-only family that waits for a gate",
+            base.build_parameters, gated(base.run), gated(base.run_batch)))
+        try:
+            with live_server(window_seconds=0.5) as port:
+                polls = []
+                for i in range(20):
+                    status, accepted = request(
+                        port, "POST", "/scenario?mode=async",
+                        small_payload(model="gated_sir", eps1=0.01 * (i + 1)))
+                    assert status == 202
+                    polls.append(accepted["poll"])
+                assert {request(port, "GET", poll)[0]
+                        for poll in polls} == {202}
+                waiting = [thread.name for thread in threading.enumerate()
+                           if thread.name == "repro-serve-async"]
+                gate.set()
+                deadline = time.monotonic() + 30.0
+                for poll in polls:
+                    while (status := request(port, "GET", poll)[0]) != 200:
+                        assert status == 202
+                        assert time.monotonic() < deadline
+                        time.sleep(0.02)
+        finally:
+            gate.set()
+        assert waiting == []
+
     def test_healthz_reports_cache_stats(self):
         with live_server() as port:
             status, body = request(port, "GET", "/healthz")
@@ -403,7 +445,7 @@ class TestHealthzEnrichment:
         assert body["spec_families"] >= 1
         assert body["alarms"] == {}
         assert body["cache_disk"] == {"tier": "disabled", "blobs": 0,
-                                      "read_errors": 0}
+                                      "read_errors": 0, "write_errors": 0}
         assert set(body["slo"]) >= {"window_seconds", "requests",
                                     "errors", "error_rate", "latency_p50",
                                     "latency_p95", "latency_p99",
@@ -417,6 +459,23 @@ class TestHealthzEnrichment:
         assert body["cache_disk"]["tier"] == "ok"
         assert body["cache_disk"]["blobs"] == 1
         assert body["cache_disk"]["read_errors"] == 0
+
+
+    def test_a_failed_disk_write_still_answers(self, tmp_path):
+        """A cache directory that cannot be created costs only the disk
+        copy: the miss answers 200 from memory, the repeat is a hit and
+        ``/healthz`` reports the tier degraded."""
+        blocker = tmp_path / "blobs"
+        blocker.write_text("a file, not a directory")
+        with live_server(cache_dir=str(blocker)) as port:
+            miss = request(port, "POST", "/scenario", small_payload())
+            hit = request(port, "POST", "/scenario", small_payload())
+            status, body = request(port, "GET", "/healthz")
+        assert (miss[0], miss[1]["cache"]) == (200, "miss")
+        assert (hit[0], hit[1]["cache"]) == (200, "hit")
+        assert status == 200
+        assert body["cache_disk"] == {"tier": "degraded", "blobs": 0,
+                                      "read_errors": 0, "write_errors": 1}
 
 
 class TestTraceIds:

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import random
+import sys
 import threading
 import time
+from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +30,7 @@ from repro.serve.cache import (
 )
 from repro.serve.service import ScenarioService
 from repro.serve.spec import (
+    MODEL_FAMILIES,
     ControlSpec,
     ScenarioSpec,
     execute_scenario,
@@ -54,6 +61,29 @@ def small_spec(**overrides) -> ScenarioSpec:
 
 #: A control plan: it has no batch key, so it takes the solo lane.
 CONTROL = small_spec(control=ControlSpec(5.0, 10.0, n_grid=5))
+
+
+def slow_family(monkeypatch, seconds: float) -> list[str]:
+    """Make every ``heterogeneous_sir`` integration ``seconds`` slower.
+
+    Returns the list each integration appends its rows' spec hashes to.
+    """
+    family = get_family("heterogeneous_sir")
+    runs: list[str] = []
+
+    def run(spec):
+        runs.append(spec.spec_hash())
+        time.sleep(seconds)
+        return family.run(spec)
+
+    def run_batch(specs):
+        runs.extend(spec.spec_hash() for spec in specs)
+        time.sleep(seconds)
+        return family.run_batch(specs)
+
+    monkeypatch.setitem(MODEL_FAMILIES, family.name, dataclasses.replace(
+        family, run=run, run_batch=run_batch))
+    return runs
 
 
 class TestResultCache:
@@ -194,6 +224,67 @@ class TestResultCache:
         assert response.cache == "miss"
         assert "stale" not in response.result
         assert cache.disk_status()["blobs"] == 1
+
+    def test_a_failed_disk_write_degrades_the_tier_not_the_miss(
+            self, tmp_path):
+        """A cache directory that cannot be created costs only the disk
+        copy: the miss is answered from memory and the tier reads
+        degraded."""
+        blocker = tmp_path / "blobs"
+        blocker.write_text("a file, not a directory")
+        cache = ResultCache(disk_dir=blocker)
+        spec = small_spec(eps1=0.29)
+        with ScenarioService(cache=cache, window_seconds=0.0) as service:
+            miss = service.query(spec, timeout=60.0)
+            hit = service.query(spec, timeout=60.0)
+            assert not service.pending(spec.spec_hash())
+        assert (miss.cache, hit.cache) == ("miss", "hit")
+        assert hit.body is miss.body
+        assert cache.disk_status() == {"tier": "degraded", "blobs": 0,
+                                       "read_errors": 0, "write_errors": 1}
+
+    def test_two_writers_of_one_key_publish_whole_blobs(self, tmp_path,
+                                                        monkeypatch):
+        """Two caches sharing a directory (two daemons) write one key at
+        once: one publishes while the other is halfway through its
+        write, and the published blob is still whole."""
+        body = encode_result({"infected": [1 / 3] * 2000})
+        first = ResultCache(disk_dir=tmp_path)
+        second = ResultCache(disk_dir=tmp_path)
+        halfway, finish = threading.Event(), threading.Event()
+        write_bytes = Path.write_bytes
+
+        def interleaved_write(path, data):
+            if threading.current_thread() is slow:
+                with open(path, "wb") as out:
+                    out.write(data[:len(data) // 2])
+                    out.flush()
+                    halfway.set()
+                    assert finish.wait(10.0)
+                    out.write(data[len(data) // 2:])
+                return len(data)
+            written = write_bytes(path, data)
+            slow.start()  # the other writer begins once this one wrote
+            assert halfway.wait(10.0)
+            return written
+
+        slow = threading.Thread(target=first.put, args=("k", body))
+        monkeypatch.setattr(Path, "write_bytes", interleaved_write)
+        blob = tmp_path / BLOB_SUBDIR / "k.json"
+        try:
+            second.put("k", body)
+            published = blob.read_bytes()
+        finally:
+            finish.set()
+            slow.join(10.0)
+        assert not slow.is_alive()
+        assert json.loads(published) == json.loads(body)
+        assert blob.read_bytes() == body
+        assert [path.name for path in blob.parent.iterdir()] == ["k.json"]
+        assert first.disk_status()["tier"] == "ok"
+        umask = os.umask(0)
+        os.umask(umask)
+        assert blob.stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_hit_miss_counters(self):
         cache = ResultCache()
@@ -336,7 +427,7 @@ class TestMicroBatcher:
         batcher = MicroBatcher(window_seconds=0.2, run_batch=run_batch)
         specs = [small_spec(eps1=0.1 * i) for i in (1, 2, 3)]
         pendings = [batcher.submit_nowait(spec) for spec in specs]
-        results = [p.wait(10.0) for p in pendings]
+        results = [json.loads(p.result(10.0)) for p in pendings]
         batcher.close()
         assert len(batches) == 1 and len(batches[0]) == 3
         assert [r["v"] for r in results] == [0.1, 0.2, 0.30000000000000004]
@@ -359,7 +450,7 @@ class TestMicroBatcher:
                  small_spec(t_final=20.0)]  # third is its own group
         pendings = [batcher.submit_nowait(spec) for spec in specs]
         for p in pendings:
-            p.wait(10.0)
+            p.result(10.0)
         batcher.close()
         assert seen == {"one": 1, "batch": 1}
 
@@ -372,21 +463,21 @@ class TestMicroBatcher:
                     for i in (1, 2)]
         for p in pendings:
             with pytest.raises(RuntimeError, match="exploded"):
-                p.wait(10.0)
+                p.result(10.0)
         batcher.close()
 
     def test_close_drains_queued_work(self):
         batcher = MicroBatcher(window_seconds=0.0)
         pending = batcher.submit_nowait(small_spec())
         batcher.close()
-        assert pending.wait(0.0)["kind"] == "trajectory"
+        assert json.loads(pending.result(0.0))["kind"] == "trajectory"
         with pytest.raises(RuntimeError, match="closed"):
             batcher.submit_nowait(small_spec())
 
     def test_wait_timeout(self):
         pending = PendingResult(small_spec())
-        with pytest.raises(TimeoutError):
-            pending.wait(0.01)
+        with pytest.raises(futures.TimeoutError):
+            pending.result(0.01)
 
     def test_invalid_knobs(self):
         with pytest.raises(ValueError):
@@ -400,7 +491,8 @@ class TestMicroBatcher:
         batcher = MicroBatcher(window_seconds=0.5,
                                run_one=lambda spec: {"v": spec.eps1})
         started = time.monotonic()
-        assert batcher.submit(small_spec(), timeout=10.0) == {"v": 0.2}
+        assert json.loads(batcher.submit_nowait(small_spec()).result(10.0)) \
+            == {"v": 0.2}
         elapsed = time.monotonic() - started
         batcher.close()
         assert elapsed < 0.25, elapsed
@@ -421,7 +513,7 @@ class TestMicroBatcher:
             pendings.append(batcher.submit_nowait(small_spec(eps1=0.1 * i)))
             time.sleep(0.02)
         for pending in pendings:
-            pending.wait(10.0)
+            pending.result(10.0)
         batcher.close()
         assert len(batches) == 1 and len(batches[0][1]) == 4
         assert batches[0][0] - started < 0.6
@@ -447,7 +539,7 @@ class TestMicroBatcher:
             pendings.append(batcher.submit_nowait(small_spec(eps1=eps1)))
             time.sleep(0.02)
         for pending in pendings:
-            pending.wait(10.0)
+            pending.result(10.0)
         batcher.close()
         assert len(batches) >= 2
         held = [at - submitted[rows[0]] for at, rows in batches]
@@ -462,7 +554,7 @@ class TestMicroBatcher:
                                    "a zero window stacked"))
         started = time.monotonic()
         for i in (1, 2, 3):
-            batcher.submit(small_spec(eps1=0.1 * i), timeout=10.0)
+            batcher.submit_nowait(small_spec(eps1=0.1 * i)).result(10.0)
         elapsed = time.monotonic() - started
         batcher.close()
         assert len(calls) == 3
@@ -482,18 +574,19 @@ class TestMicroBatcher:
         batcher = MicroBatcher(window_seconds=0.01, run_one=run_one)
         plan = batcher.submit_nowait(CONTROL)
         assert plan.batch_key is None
-        trajectory = batcher.submit(small_spec(), timeout=5.0)
-        assert trajectory == {"kind": "trajectory"} and not plan.done
+        trajectory = batcher.submit_nowait(small_spec()).result(5.0)
+        assert json.loads(trajectory) == {"kind": "trajectory"} \
+            and not plan.done()
         release.set()
-        assert plan.wait(5.0) == {"kind": "control"}
+        assert json.loads(plan.result(5.0)) == {"kind": "control"}
         batcher.close()
 
     def test_each_wait_is_observed_in_both_lanes(self):
         with observing(None, sink=MemorySink()) as observer:
             batcher = MicroBatcher(window_seconds=0.05,
                                    run_one=lambda spec: {})
-            batcher.submit(CONTROL, timeout=10.0)
-            batcher.submit(small_spec(), timeout=10.0)
+            batcher.submit_nowait(CONTROL).result(10.0)
+            batcher.submit_nowait(small_spec()).result(10.0)
             batcher.close()
             waits = observer.metrics.snapshot()["histograms"][
                 "serve.batch.wait.seconds"]
@@ -527,7 +620,7 @@ class TestMicroBatcher:
         for gate in gates.values():
             gate.set()
         batcher.close()
-        assert all(pending.done for pending in pendings)
+        assert all(pending.done() for pending in pendings)
         assert batcher.depth() == 0
         assert not any(thread.is_alive() for thread in (
             lane.thread for lane in batcher._lanes))
@@ -666,10 +759,76 @@ class TestScenarioService:
         key = bad.spec_hash()
         with pytest.raises(ParameterError, match="unknown preset"):
             service.query(bad, timeout=60.0)
-        assert service.pending(key) is None  # no stuck in-flight entry
+        assert not service.pending(key)  # no stuck in-flight entry
         # the service still works afterwards
         assert service.query(small_spec(), timeout=60.0).cache == "miss"
         service.close()
+
+    def test_a_wait_that_times_out_leaves_the_solve_to_finish(
+            self, monkeypatch):
+        """A waiter that gives up neither orphans nor repeats the solve:
+        the next identical query joins it, and a miss nobody waits for
+        any more is still cached."""
+        runs = slow_family(monkeypatch, 0.3)
+        spec, lone = small_spec(eps1=0.52), small_spec(eps1=0.53)
+        with ScenarioService(window_seconds=0.0) as service:
+            with pytest.raises(TimeoutError):  # the built-in, on 3.10 too
+                service.query(spec, timeout=0.05)
+            assert service.pending(spec.spec_hash())
+            again = service.query(spec, timeout=10.0)
+            with pytest.raises(TimeoutError):
+                service.query(lone, timeout=0.05)
+        # close() drained the batcher, which finished the lone miss.
+        assert again.cache in ("coalesced", "hit")
+        assert again.body is service.cache.get(spec.spec_hash(),
+                                               encoded=True)
+        assert not service.pending(lone.spec_hash())
+        assert sorted(runs) == sorted([spec.spec_hash(), lone.spec_hash()])
+        assert service.cache.get(lone.spec_hash()) == execute_scenario(lone)
+
+    def test_overlapping_queries_with_timeouts_integrate_each_spec_once(
+            self, monkeypatch):
+        """16 threads query 6 overlapping specs, a third of them with a
+        timeout shorter than the solve, under a 10 µs switch interval."""
+        runs = slow_family(monkeypatch, 0.05)
+        pool = [small_spec(eps1=0.6 + 0.01 * i) for i in range(6)]
+        answered, timed_out, failed = [], [], []
+        barrier = threading.Barrier(16)
+
+        def client(index):
+            rng = random.Random(index)
+            timeout = 0.01 if index % 3 == 0 else 30.0
+            barrier.wait(10.0)
+            for _ in range(12):
+                try:
+                    answered.append(service.query(rng.choice(pool),
+                                                  timeout=timeout))
+                except TimeoutError:
+                    timed_out.append(index)
+                except BaseException as error:
+                    failed.append(error)
+
+        service = ScenarioService(window_seconds=0.005)
+        threads = [threading.Thread(target=client, args=(index,))
+                   for index in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failed and timed_out
+        assert len(answered) + len(timed_out) == 16 * 12
+        assert sorted(runs) == sorted(spec.spec_hash() for spec in pool)
+        assert not any(service.pending(spec.spec_hash()) for spec in pool)
+        for response in answered:
+            assert response.body is service.cache.get(response.spec_hash,
+                                                      encoded=True)
 
     def test_closed_service_refuses_queries(self):
         service = ScenarioService(window_seconds=0.0)
