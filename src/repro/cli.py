@@ -72,11 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker count for 'all' (default: serial; "
                           "N > 1 runs the figures concurrently)")
     exp.add_argument("--backend", default=None,
-                     choices=["serial", "thread", "process", "vectorized"],
+                     choices=["serial", "thread", "process"],
                      help="parallel backend for 'all' (default: serial, "
-                          "or process when --workers > 1; 'vectorized' "
-                          "stacks batch-capable sweeps into one ODE "
-                          "system per chunk)")
+                          "or process when --workers > 1)")
 
     thr = sub.add_parser("threshold",
                          help="compute r0 and critical countermeasures")

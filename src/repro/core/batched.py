@@ -30,12 +30,12 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.model import integration_alarm, output_grid
 from repro.core.parameters import RumorModelParameters
 from repro.core.state import RumorTrajectory, SIRState
-from repro.exceptions import IntegrationError, ParameterError
+from repro.exceptions import ParameterError
 from repro.numerics.ode_batched import BatchedOdeSolution, integrate_batched
 from repro.numerics.system1 import System1
-from repro.obs.trace import get_observer
 
 __all__ = ["BatchedHeterogeneousSIR", "stackable"]
 
@@ -271,36 +271,17 @@ class BatchedHeterogeneousSIR:
             raise ParameterError(
                 f"initial shape {flat.shape} must be ({3 * n},) or "
                 f"({self.batch_size}, {3 * n})")
-        if t_eval is None:
-            if t_final is None or t_final <= 0:
-                raise ParameterError(
-                    f"t_final must be positive, got {t_final}")
-            if n_samples < 2:
-                raise ParameterError("n_samples must be >= 2")
-            grid = np.linspace(0.0, float(t_final), int(n_samples))
-        else:
-            grid = np.asarray(t_eval, dtype=float)
+        grid = output_grid(t_final, n_samples, t_eval)
         options = dict(solver_options)
         if method == "dopri45":
             options["system1"] = System1(
                 self._phi, self._mean_degree, self.lambda_k,
                 np.broadcast_to(self.alpha, (self.batch_size,)),
                 self.eps1, self.eps2)
-        observer = get_observer()
         context = {"where": "batched.simulate", "rows": self.batch_size}
-        try:
-            solution = integrate_batched(self.rhs, y0, grid,
-                                         method=method, **options)
-        except IntegrationError as error:
-            # As in HeterogeneousSIRModel.simulate: a blow-up unwinds
-            # before any result exists, so report it before propagating.
-            if observer is not None:
-                observer.health.check_integration(str(method), error,
-                                                  context=context)
-            raise
-        if observer is not None:
-            observer.health.check_integration(str(method), context=context)
-        return solution
+        with integration_alarm(method, context):
+            return integrate_batched(self.rhs, y0, grid, method=method,
+                                     **options)
 
     # -- analysis accessors ----------------------------------------------------
     def trajectory(self, solution: BatchedOdeSolution,

@@ -16,7 +16,8 @@ time-varying controls through the same entry point).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from repro.core.state import RumorTrajectory, SIRState
 from repro.exceptions import IntegrationError, ParameterError
 from repro.numerics.ode import integrate
 from repro.numerics.system1 import System1
-from repro.obs.trace import get_observer
+from repro.obs.trace import Observer, get_observer
 
 __all__ = ["HeterogeneousSIRModel", "as_control"]
 
@@ -45,6 +46,41 @@ def as_control(value: ControlInput, name: str) -> Callable[[float], float]:
     if not np.isfinite(rate) or rate < 0:
         raise ParameterError(f"{name} must be a non-negative finite rate, got {rate}")
     return lambda _t: rate
+
+
+def output_grid(t_final: float | None, n_samples: int,
+                t_eval: Sequence[float] | np.ndarray | None) -> np.ndarray:
+    """A simulation's output times: ``t_eval``, or else ``n_samples``
+    equally spaced times over ``[0, t_final]``."""
+    if t_eval is not None:
+        return np.asarray(t_eval, dtype=float)
+    if t_final is None or t_final <= 0:
+        raise ParameterError(f"t_final must be positive, got {t_final}")
+    if n_samples < 2:
+        raise ParameterError("n_samples must be >= 2")
+    return np.linspace(0.0, float(t_final), int(n_samples))
+
+
+@contextmanager
+def integration_alarm(method: str,
+                      context: dict[str, object]) -> Iterator[Observer | None]:
+    """Report the integration run inside to the ``integration`` alarm.
+
+    An :class:`~repro.exceptions.IntegrationError` unwinds before any
+    trajectory exists, so result-level checks never see it: it trips
+    the alarm before propagating, and a clean run heals it.  Yields the
+    active observer, or ``None``.
+    """
+    observer = get_observer()
+    try:
+        yield observer
+    except IntegrationError as error:
+        if observer is not None:
+            observer.health.check_integration(str(method), error,
+                                              context=context)
+        raise
+    if observer is not None:
+        observer.health.check_integration(str(method), context=context)
 
 
 class HeterogeneousSIRModel:
@@ -176,15 +212,7 @@ class HeterogeneousSIRModel:
                 f"initial state has {initial.n_groups} groups, model has "
                 f"{self.params.n_groups}"
             )
-        if t_eval is None:
-            if t_final <= 0:
-                raise ParameterError(f"t_final must be positive, got {t_final}")
-            if n_samples < 2:
-                raise ParameterError("n_samples must be >= 2")
-            grid = np.linspace(0.0, float(t_final), int(n_samples))
-        else:
-            grid = np.asarray(t_eval, dtype=float)
-
+        grid = output_grid(t_final, n_samples, t_eval)
         y0 = initial.pack()
         options = dict(solver_options)
         if callable(eps1) or callable(eps2):
@@ -200,22 +228,10 @@ class HeterogeneousSIRModel:
                     self._phi, self._mean_degree, self._lam,
                     np.array([self._alpha]), np.array([float(eps1)]),
                     np.array([float(eps2)]))
-        try:
+        with integration_alarm(method,
+                               {"where": "model.simulate"}) as observer:
             solution = integrate(f, y0, grid, method=method, **options)
-        except IntegrationError as error:
-            # A blow-up unwinds before any trajectory exists, so the
-            # result-level checks below never see it; report it as its
-            # own alarm before propagating.
-            observer = get_observer()
-            if observer is not None:
-                observer.health.check_integration(
-                    str(method), error,
-                    context={"where": "model.simulate"})
-            raise
-        observer = get_observer()
         if observer is not None:
-            observer.health.check_integration(
-                str(method), context={"where": "model.simulate"})
             # Live invariant checks (read-only on the solution): per-group
             # S+I+R mass must follow the d/dt = α growth law of System
             # (1), and densities must stay (numerically) non-negative.

@@ -18,6 +18,7 @@ __all__ = [
     "DatasetError",
     "GraphError",
     "SweepError",
+    "ServiceClosedError",
 ]
 
 
@@ -53,6 +54,10 @@ class BracketingError(ReproError, ValueError):
 
 class IntegrationError(ReproError, RuntimeError):
     """An ODE integration failed (step size underflow, NaN state, ...)."""
+
+
+class ServiceClosedError(ReproError, RuntimeError):
+    """The scenario service or its batcher is closed to new work."""
 
 
 class DatasetError(ReproError, RuntimeError):

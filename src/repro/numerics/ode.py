@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,9 +70,6 @@ class SolverStats:
         Smallest/largest *accepted* step size.
     wall_seconds:
         Integration wall time (monotonic clock).
-    step_sizes:
-        Accepted step sizes in order, or ``None`` when the solver does
-        not record a history (fixed-step and batched paths).
     """
 
     accepted: int
@@ -82,7 +79,6 @@ class SolverStats:
     h_min: float
     h_max: float
     wall_seconds: float
-    step_sizes: np.ndarray | None = None
 
     @property
     def total_steps(self) -> int:
@@ -90,28 +86,32 @@ class SolverStats:
         return self.accepted + self.rejected
 
     def as_dict(self) -> dict[str, object]:
-        """JSON-ready representation (history length, not the array)."""
+        """JSON-ready representation."""
         return {
             "accepted": self.accepted, "rejected": self.rejected,
             "nfev": self.nfev, "warmup_nfev": self.warmup_nfev,
             "h_min": self.h_min, "h_max": self.h_max,
             "wall_seconds": self.wall_seconds,
-            "recorded_steps": (0 if self.step_sizes is None
-                               else int(self.step_sizes.size)),
         }
 
 
-def _emit_solver_event(solver: str, dim: int,
-                       stats: SolverStats) -> None:
-    """Report one finished integration to the active observer, if any."""
+def _emit_solver_event(solver: str, dim: int, stats: SolverStats,
+                       batch: int | None = None) -> None:
+    """Report one finished integration to the active observer, if any.
+
+    A stacked run passes its ``batch`` height and its rows' totals.
+    """
     ob = get_observer()
     if ob is None:
         return
-    ob.emit("solver", solver=solver, dim=dim, **stats.as_dict())
+    context = {"dim": dim} if batch is None else {"dim": dim, "batch": batch}
+    ob.emit("solver", solver=solver, **context, **stats.as_dict())
     ob.health.check_solver(solver, stats.accepted, stats.rejected,
-                           context={"dim": dim})
+                           context=context)
     metrics = ob.metrics
     metrics.inc("solver.runs")
+    if batch is not None:
+        metrics.inc("solver.batched_rows", batch)
     metrics.inc("solver.nfev", stats.nfev)
     metrics.inc("solver.steps_accepted", stats.accepted)
     metrics.inc("solver.steps_rejected", stats.rejected)
@@ -135,8 +135,8 @@ class OdeSolution:
         Name of the integrator that produced the solution.
     stats:
         :class:`SolverStats` telemetry (accepted/rejected step counts,
-        step-size range and history, wall time), or ``None`` for
-        solutions constructed without it.
+        step-size range, wall time), or ``None`` for solutions
+        constructed without it.
     """
 
     t: np.ndarray
@@ -331,11 +331,11 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
     says that ``f`` is paper System (1) on the ``(3n,)`` state
     ``y0 = [S | I | R]`` under constant controls.  The compiled kernel
     then runs the whole solve under this control law, on (S, I) with R
-    rebuilt from the conservation law and kept in the error norm; its
-    stats carry no step history.  ``f`` is called once, at ``t0``, and a
-    slope there other than the kernel's raises
-    :class:`~repro.exceptions.ParameterError`.  Without the kernel (no C
-    compiler) the Python loop integrates ``f`` on the full state.
+    rebuilt from the conservation law and kept in the error norm.  ``f``
+    is called once, at ``t0``, and a slope there other than the
+    kernel's raises :class:`~repro.exceptions.ParameterError`.  Without
+    the kernel (no C compiler) the Python loop integrates ``f`` on the
+    full state.
 
     Raises :class:`~repro.exceptions.IntegrationError` on step-size
     underflow, NaN states, or step-budget exhaustion.
@@ -343,79 +343,131 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
     grid = _validate_grid(t_eval)
     y0 = _validate_y0(y0)
     start = time.perf_counter()
-    if h_max is None:
-        h_max = grid[-1] - grid[0]
-    if h_init is not None and h_init <= 0:
-        raise ParameterError("h_init must be positive")
-    if system1 is not None and kernel.library() is not None:
-        with np.errstate(all="ignore"):
-            slope = np.asarray(f(grid[0], y0), dtype=float)
-        run = kernel.run(system1, y0[None], grid, slope=slope[None],
-                         rtol=rtol, atol=atol, h_init=h_init, h_max=h_max,
-                         max_attempts=max_steps)
-        out, history = run.y[:, 0], None
-        status, fail_t, fail_h = run.status, run.t, run.h
-        accepted, rejected = int(run.accepted[0]), int(run.rejected[0])
-        h_lo, h_hi = float(run.h_min[0]), float(run.h_max[0])
-    else:
-        out = np.empty((grid.size, y0.size))
-        status, fail_t, fail_h, accepted, rejected, steps = _dopri45_loop(
-            f, y0, grid, out, rtol=rtol, atol=atol, h_init=h_init,
-            h_max=h_max, max_steps=max_steps)
-        history = np.asarray(steps)
-        h_lo = float(history.min()) if history.size else 0.0
-        h_hi = float(history.max()) if history.size else 0.0
-    if status == kernel.MISMATCH:
-        raise ParameterError(
-            "dopri45: system1 does not describe f: their slopes at "
-            f"t={grid[0]:.6g} differ")
-    if status == kernel.UNDERFLOW:
-        raise IntegrationError(
-            f"dopri45 step size underflow at t={fail_t:.6g} (h={fail_h:.3g})")
-    if status == kernel.NONFINITE:
-        raise IntegrationError(
-            f"dopri45 produced non-finite state at t={fail_t:.6g}")
-    if status == kernel.EXHAUSTED:
-        raise IntegrationError(
-            f"dopri45 exhausted {max_steps} steps before reaching "
-            f"t={grid[-1]}")
-    _check_finite(out, "dopri45")
+    run = _dopri45_rows(
+        "dopri45", y0[None], grid, rhs_of_row=lambda _row: f,
+        slope=lambda: np.asarray(f(grid[0], y0), dtype=float)[None],
+        stacked=False, system1=system1, rtol=rtol, atol=atol,
+        h_init=h_init, h_max=h_max, max_steps=max_steps)
+    accepted, rejected = int(run.accepted[0]), int(run.rejected[0])
     warmup_nfev = 2 if h_init is None else 1
     nfev = warmup_nfev + 6 * (accepted + rejected)
     stats = SolverStats(
         accepted=accepted, rejected=rejected, nfev=nfev,
-        warmup_nfev=warmup_nfev, h_min=h_lo, h_max=h_hi,
-        wall_seconds=time.perf_counter() - start, step_sizes=history)
+        warmup_nfev=warmup_nfev, h_min=float(run.h_min[0]),
+        h_max=float(run.h_max[0]),
+        wall_seconds=time.perf_counter() - start)
     _emit_solver_event("dopri45", y0.size, stats)
-    return OdeSolution(grid, out, nfev, "dopri45", stats=stats)
+    return OdeSolution(grid, run.y[:, 0], nfev, "dopri45", stats=stats)
 
 
-class _LoopRun(NamedTuple):
-    """What one solve of :func:`_dopri45_loop` returns.
+def _dopri45_rows(solver: str, y0: np.ndarray, grid: np.ndarray, *,
+                 rhs_of_row: Callable[[int], RhsFunction],
+                 slope: Callable[[], np.ndarray], stacked: bool,
+                 system1: System1 | None, rtol: float, atol: float,
+                 h_init: float | None, h_max: float | None,
+                 max_steps: int) -> kernel.KernelRun:
+    """Integrate the ``(B, d)`` rows ``y0`` over ``grid``, each on its own.
 
-    ``status`` is one of :mod:`~repro.numerics.system1`'s codes; when it
-    is not ``OK``, the solve failed at time ``t`` with step ``h``, as a
-    row of :func:`~repro.numerics.system1.run` reports it.
+    The one engine choice behind :func:`dopri45` and
+    :func:`~repro.numerics.ode_batched.dopri45_batched`: with ``system1``
+    and the compiled kernel loaded, the kernel runs every row, checked
+    against ``slope()``, the caller's right-hand side at ``(grid[0],
+    y0)``; otherwise row ``b`` runs :func:`_dopri45_loop` on the scalar
+    right-hand side ``rhs_of_row(b)``.  NumPy's floating-point warnings
+    are silenced on both: a blow-up is reported by status.  Rows run in
+    order; a row that exhausts ``max_steps`` is counted and the later
+    rows still run, and any other failure stops the solve.
+
+    Returns the successful run, or raises what its status means (see
+    :func:`_raise_failure`, which names ``solver`` and, when
+    ``stacked``, the batch row).
     """
+    if h_max is None:
+        h_max = grid[-1] - grid[0]
+    if h_init is not None and h_init <= 0:
+        raise ParameterError("h_init must be positive")
+    options = dict(rtol=rtol, atol=atol, h_init=h_init, h_max=h_max)
+    with np.errstate(all="ignore"):
+        if system1 is not None and kernel.library() is not None:
+            run = kernel.run(system1, y0, grid, slope=slope(),
+                             max_attempts=max_steps, **options)
+        else:
+            run = _loop_rows(rhs_of_row, y0, grid, max_steps=max_steps,
+                             **options)
+    _raise_failure(run, solver, grid, max_steps, stacked)
+    _check_finite(run.y, solver)
+    return run
 
-    status: int
-    t: float
-    h: float
-    accepted: int
-    rejected: int
-    step_sizes: list[float]
+
+def _loop_rows(rhs_of_row: Callable[[int], RhsFunction], y0: np.ndarray,
+               grid: np.ndarray, **options: object) -> kernel.KernelRun:
+    """Each row through :func:`_dopri45_loop`, reported as
+    :func:`~repro.numerics.system1.run` reports the kernel's rows."""
+    batch, dim = y0.shape
+    y = np.empty((grid.size, batch, dim))
+    accepted = np.zeros(batch, dtype=np.int64)
+    rejected = np.zeros(batch, dtype=np.int64)
+    h_min = np.full(batch, np.inf)
+    h_max = np.zeros(batch)
+    status, row, t, h, stuck = kernel.OK, 0, 0.0, 0.0, 0
+    for b in range(batch):
+        (code, end_t, end_h, accepted[b], rejected[b], h_min[b],
+         h_max[b]) = _dopri45_loop(rhs_of_row(b), y0[b], grid, y[:, b],
+                                   **options)
+        if code == kernel.OK:
+            continue
+        if code == kernel.EXHAUSTED:
+            stuck += 1
+            if stuck > 1:
+                continue
+        status, row, t, h = code, b, end_t, end_h
+        if status != kernel.EXHAUSTED:
+            break
+    return kernel.KernelRun(y, accepted, rejected, h_min, h_max, status,
+                            row, t, h, stuck)
+
+
+def _raise_failure(run: kernel.KernelRun, solver: str, grid: np.ndarray,
+                   max_steps: int, stacked: bool) -> None:
+    """Raise the error a failed run's status names; return if it is OK.
+
+    A slope that the kernel's constants do not reproduce is the caller's
+    mistake (:class:`~repro.exceptions.ParameterError`); underflow,
+    non-finite states and exhaustion are
+    :class:`~repro.exceptions.IntegrationError`.
+    """
+    row = f" for batch row {run.row}" if stacked else ""
+    if run.status == kernel.MISMATCH:
+        raise ParameterError(
+            f"{solver}: system1 does not describe f: their slopes at "
+            f"t={grid[0]:.6g} differ{row}")
+    if run.status == kernel.UNDERFLOW:
+        problem = f"step size underflow{row} at t={run.t:.6g} (h={run.h:.3g})"
+    elif run.status == kernel.NONFINITE:
+        problem = f"produced non-finite state{row} at t={run.t:.6g}"
+    elif run.status == kernel.EXHAUSTED and stacked:
+        problem = (f"exhausted {max_steps} steps with {run.stuck} of "
+                   f"{run.accepted.size} rows unfinished (first stuck row "
+                   f"{run.row} at t={run.t:.6g})")
+    elif run.status == kernel.EXHAUSTED:
+        problem = f"exhausted {max_steps} steps before reaching t={grid[-1]}"
+    else:
+        return
+    raise IntegrationError(f"{solver} {problem}")
 
 
 def _dopri45_loop(f: RhsFunction, y0: np.ndarray, grid: np.ndarray,
                   out: np.ndarray, *, rtol: float, atol: float,
                   h_init: float | None, h_max: float,
-                  max_steps: int) -> _LoopRun:
+                  max_steps: int) -> tuple:
     """:func:`dopri45`'s step loop, writing the ``(m, d)`` output ``out``.
 
-    The loop behind solo Python solves and, row by row, behind
-    :func:`~repro.numerics.ode_batched.dopri45_batched` without the
-    kernel.  It makes at most ``max_steps`` attempts and reports a
-    failure in the returned status instead of raising it.
+    The loop behind :func:`_dopri45_rows` without the kernel.  It makes at
+    most ``max_steps`` attempts and returns what a row of
+    :func:`~repro.numerics.system1.run` reports: a status code (a
+    failure is reported, not raised), the time and step it ended at,
+    the accepted and rejected step counts, and the smallest and largest
+    accepted step (``inf`` and 0 before any).
     """
     t0, tf = grid[0], grid[-1]
     dim = y0.size
@@ -441,7 +493,7 @@ def _dopri45_loop(f: RhsFunction, y0: np.ndarray, grid: np.ndarray,
     t = t0
     k[0] = f0
     accepted = rejected = 0
-    step_sizes: list[float] = []
+    h_lo, h_hi = math.inf, 0.0
     err_prev = 1.0
     safety, beta = 0.9, 0.04
     min_factor, max_factor = 0.2, 5.0
@@ -449,12 +501,12 @@ def _dopri45_loop(f: RhsFunction, y0: np.ndarray, grid: np.ndarray,
 
     while t < tf:
         if accepted + rejected >= max_steps:
-            return _LoopRun(kernel.EXHAUSTED, t, h, accepted, rejected,
-                            step_sizes)
+            return (kernel.EXHAUSTED, t, h, accepted, rejected, h_lo,
+                    h_hi)
         h = min(h, tf - t, h_max)
         if not h >= 1e-14 * max(abs(t), 1.0):  # a NaN step too
-            return _LoopRun(kernel.UNDERFLOW, t, h, accepted, rejected,
-                            step_sizes)
+            return (kernel.UNDERFLOW, t, h, accepted, rejected, h_lo,
+                    h_hi)
         # Stage evaluations (FSAL: k[0] holds f(t, y)).
         for stage in range(1, 7):
             np.matmul(_DP_A[stage], k[:stage], out=y_stage)
@@ -482,13 +534,13 @@ def _dopri45_loop(f: RhsFunction, y0: np.ndarray, grid: np.ndarray,
             rejected += 1
             h *= 0.25
             if not h >= 1e-14 * max(abs(t), 1.0):
-                return _LoopRun(kernel.NONFINITE, t, h, accepted, rejected,
-                                step_sizes)
+                return (kernel.NONFINITE, t, h, accepted, rejected, h_lo,
+                        h_hi)
             continue
         if err <= 1.0:
             # Accept: emit dense output for all grid points inside (t, t+h].
             accepted += 1
-            step_sizes.append(h)
+            h_lo, h_hi = min(h_lo, h), max(h_hi, h)
             t_new = t + h
             while next_output < grid.size and grid[next_output] <= t_new + 1e-14:
                 out[next_output] = _hermite(
@@ -511,7 +563,7 @@ def _dopri45_loop(f: RhsFunction, y0: np.ndarray, grid: np.ndarray,
     if next_output < grid.size:
         # Numerical edge: final grid point equals tf within round-off.
         out[next_output:] = y
-    return _LoopRun(kernel.OK, t, h, accepted, rejected, step_sizes)
+    return kernel.OK, t, h, accepted, rejected, h_lo, h_hi
 
 
 def _initial_step(f: RhsFunction, t0: float, y0: np.ndarray,

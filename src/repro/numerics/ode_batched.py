@@ -44,21 +44,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.exceptions import IntegrationError, ParameterError
-from repro.numerics import system1 as kernel
+from repro.exceptions import ParameterError
 from repro.numerics.ode import (
     OdeSolution,
     SolverStats,
     _check_finite,
-    _dopri45_loop,
+    _dopri45_rows,
+    _emit_solver_event,
+    _fixed_step_stats,
     _validate_grid,
 )
 from repro.numerics.system1 import System1
-from repro.obs.trace import get_observer
 
 __all__ = [
     "BatchedSolverStats",
@@ -103,38 +104,17 @@ class BatchedSolverStats:
             h_max=float(self.h_max_rows[index]),
             wall_seconds=self.wall_seconds)
 
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready batch aggregate."""
-        return {
-            "accepted": int(self.accepted_rows.sum()),
-            "rejected": int(self.rejected_rows.sum()),
-            "warmup_nfev": self.warmup_nfev,
-            "h_min": float(self.h_min_rows.min()),
-            "h_max": float(self.h_max_rows.max()),
-            "wall_seconds": self.wall_seconds,
-        }
-
-
-def _emit_batched_solver_event(solver: str, dim: int, batch: int,
-                               nfev_rows: np.ndarray,
-                               stats: BatchedSolverStats) -> None:
-    """Report one finished batched integration to the active observer."""
-    ob = get_observer()
-    if ob is None:
-        return
-    aggregate = stats.as_dict()
-    ob.emit("solver", solver=solver, dim=dim, batch=batch,
-            nfev=int(nfev_rows.sum()), **aggregate)
-    ob.health.check_solver(solver, aggregate["accepted"],
-                           aggregate["rejected"],
-                           context={"dim": dim, "batch": batch})
-    metrics = ob.metrics
-    metrics.inc("solver.runs")
-    metrics.inc("solver.batched_rows", batch)
-    metrics.inc("solver.nfev", int(nfev_rows.sum()))
-    metrics.inc("solver.steps_accepted", aggregate["accepted"])
-    metrics.inc("solver.steps_rejected", aggregate["rejected"])
-    metrics.observe("solver.wall_seconds", stats.wall_seconds)
+    def total(self, nfev: int) -> SolverStats:
+        """The batch's telemetry as one :class:`SolverStats`: step counts
+        summed over the rows, the range of every row's accepted steps,
+        and ``nfev`` evaluations."""
+        return SolverStats(
+            accepted=int(self.accepted_rows.sum()),
+            rejected=int(self.rejected_rows.sum()),
+            nfev=nfev, warmup_nfev=self.warmup_nfev,
+            h_min=float(self.h_min_rows.min()),
+            h_max=float(self.h_max_rows.max()),
+            wall_seconds=self.wall_seconds)
 
 
 @dataclass(frozen=True)
@@ -262,7 +242,6 @@ def rk4_batched(f: BatchedRhsFunction, y0: np.ndarray,
     rhs = _RhsAdapter(f)
     out = np.empty((grid.size, batch, dim))
     out[0] = y
-    nfev_rows = np.zeros(batch, dtype=np.int64)
     k1 = np.empty_like(y)
     k2 = np.empty_like(y)
     k3 = np.empty_like(y)
@@ -292,19 +271,20 @@ def rk4_batched(f: BatchedRhsFunction, y0: np.ndarray,
             k2 += k4
             k2 *= h / 6.0
             y += k2
-            nfev_rows += 4
         out[j + 1] = y
     _check_finite(out, "rk4-batched")
-    spacing = np.diff(grid) / substeps
-    n_steps = (grid.size - 1) * substeps
+    row = _fixed_step_stats(grid, substeps, 4 * (grid.size - 1) * substeps,
+                            4, time.perf_counter() - start)
+    nfev_rows = np.full(batch, row.nfev, dtype=np.int64)
     stats = BatchedSolverStats(
-        accepted_rows=np.full(batch, n_steps, dtype=np.int64),
+        accepted_rows=np.full(batch, row.accepted, dtype=np.int64),
         rejected_rows=np.zeros(batch, dtype=np.int64),
-        warmup_nfev=0,
-        h_min_rows=np.full(batch, float(spacing.min())),
-        h_max_rows=np.full(batch, float(spacing.max())),
-        wall_seconds=time.perf_counter() - start)
-    _emit_batched_solver_event("rk4-batched", dim, batch, nfev_rows, stats)
+        warmup_nfev=row.warmup_nfev,
+        h_min_rows=np.full(batch, row.h_min),
+        h_max_rows=np.full(batch, row.h_max),
+        wall_seconds=row.wall_seconds)
+    _emit_solver_event("rk4-batched", dim, stats.total(batch * row.nfev),
+                       batch)
     return BatchedOdeSolution(grid, out, nfev_rows, "rk4-batched",
                               stats=stats)
 
@@ -343,79 +323,26 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
     y = _validate_batch_y0(y0)
     start = time.perf_counter()
     batch, dim = y.shape
-    if h_max is None:
-        h_max = grid[-1] - grid[0]
-    if h_init is not None and h_init <= 0:
-        raise ParameterError("h_init must be positive")
-    options = dict(rtol=rtol, atol=atol, h_init=h_init, h_max=h_max)
-    if system1 is not None and kernel.library() is not None:
-        slope = np.empty_like(y)
-        with np.errstate(all="ignore"):
-            _RhsAdapter(f)(np.full(batch, grid[0]), y, np.arange(batch),
-                           slope)
-        run = kernel.run(system1, y, grid, slope=slope,
-                         max_attempts=max_steps, **options)
-    else:
-        run = _python_run(f, y, grid, max_steps=max_steps, **options)
-    if run.status == kernel.MISMATCH:
-        raise ParameterError(
-            f"dopri45-batched: system1 does not describe f: their slopes "
-            f"at t={grid[0]:.6g} differ for batch row {run.row}")
-    if run.status == kernel.UNDERFLOW:
-        raise IntegrationError(
-            f"dopri45-batched step size underflow for batch row {run.row} "
-            f"at t={run.t:.6g} (h={run.h:.3g})")
-    if run.status == kernel.NONFINITE:
-        raise IntegrationError(
-            f"dopri45-batched produced non-finite state for batch row "
-            f"{run.row} at t={run.t:.6g}")
-    if run.status == kernel.EXHAUSTED:
-        raise IntegrationError(
-            f"dopri45-batched exhausted {max_steps} steps "
-            f"with {run.stuck} of {batch} rows unfinished (first "
-            f"stuck row {run.row} at t={run.t:.6g})")
-    _check_finite(run.y, "dopri45-batched")
+
+    def slope() -> np.ndarray:
+        out = np.empty_like(y)
+        _RhsAdapter(f)(np.full(batch, grid[0]), y, np.arange(batch), out)
+        return out
+
+    run = _dopri45_rows(
+        "dopri45-batched", y, grid, rhs_of_row=partial(_row_rhs, f),
+        slope=slope, stacked=True, system1=system1, rtol=rtol, atol=atol,
+        h_init=h_init, h_max=h_max, max_steps=max_steps)
     warmup_nfev = 2 if h_init is None else 1
     nfev_rows = warmup_nfev + 6 * (run.accepted + run.rejected)
     stats = BatchedSolverStats(
         accepted_rows=run.accepted, rejected_rows=run.rejected,
         warmup_nfev=warmup_nfev, h_min_rows=run.h_min,
         h_max_rows=run.h_max, wall_seconds=time.perf_counter() - start)
-    _emit_batched_solver_event("dopri45-batched", dim, batch, nfev_rows,
-                               stats)
+    _emit_solver_event("dopri45-batched", dim,
+                       stats.total(int(nfev_rows.sum())), batch)
     return BatchedOdeSolution(grid, run.y, nfev_rows, "dopri45-batched",
                               stats=stats)
-
-
-def _python_run(f: BatchedRhsFunction, y0: np.ndarray, grid: np.ndarray,
-                **options: object) -> kernel.KernelRun:
-    """Each row through :func:`dopri45`'s Python loop, reported as
-    :func:`~repro.numerics.system1.run` reports the kernel's rows."""
-    batch, dim = y0.shape
-    y = np.empty((grid.size, batch, dim))
-    accepted = np.zeros(batch, dtype=np.int64)
-    rejected = np.zeros(batch, dtype=np.int64)
-    h_min = np.full(batch, np.inf)
-    h_max = np.zeros(batch)
-    status, row, t, h, stuck = kernel.OK, 0, 0.0, 0.0, 0
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for b in range(batch):
-            run = _dopri45_loop(_row_rhs(f, b), y0[b], grid, y[:, b],
-                                **options)
-            accepted[b], rejected[b] = run.accepted, run.rejected
-            if run.step_sizes:
-                h_min[b], h_max[b] = min(run.step_sizes), max(run.step_sizes)
-            if run.status == kernel.OK:
-                continue
-            if run.status == kernel.EXHAUSTED:
-                stuck += 1
-                if stuck > 1:
-                    continue
-            status, row, t, h = run.status, b, run.t, run.h
-            if status != kernel.EXHAUSTED:
-                break
-    return kernel.KernelRun(y, accepted, rejected, h_min, h_max, status,
-                            row, t, h, stuck)
 
 
 def _row_rhs(f: BatchedRhsFunction, b: int) -> Callable[..., np.ndarray]:

@@ -92,8 +92,8 @@ class System1:
 
 class KernelRun(NamedTuple):
     """What one kernel call returns, and the form in which
-    :func:`~repro.numerics.ode_batched.dopri45_batched` reports the rows
-    of its Python loop.
+    :func:`repro.numerics.ode._dopri45_rows` reports the rows of its
+    Python loop.
 
     ``y`` is ``(m, B, 3n)``; the step counts and accepted-step ranges
     are ``(B,)``.  When ``status`` is not :data:`OK`, row ``row`` failed

@@ -47,7 +47,6 @@ from repro.obs.events import (
     OBS_SCHEMA_V1,
     OBS_SCHEMA_V2,
     SUPPORTED_SCHEMAS,
-    read_manifest,
     validate_event,
     validate_manifest,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "EVENT_TYPES",
     "validate_event",
     "validate_manifest",
-    "read_manifest",
     "Manifest",
     "SpanNode",
     "load_manifest",

@@ -17,7 +17,6 @@ unreadable trace.  Field semantics are documented in
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Mapping
 
@@ -35,7 +34,6 @@ __all__ = [
     "disallowed_event_types",
     "validate_event",
     "validate_manifest",
-    "read_manifest",
 ]
 
 #: Schema identifier written into every ``manifest_start`` event.
@@ -127,65 +125,19 @@ def validate_event(event: Mapping[str, object]) -> None:
             f"event {event_type!r} is missing required fields {missing}")
 
 
-def read_manifest(path: str | Path) -> list[dict[str, object]]:
-    """Parse a JSONL manifest into a list of event dicts (no validation)."""
-    path = Path(path)
-    if not path.exists():
-        raise ParameterError(f"manifest not found: {path}")
-    events = []
-    for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(
-                f"{path}:{lineno}: invalid JSON in manifest: {exc}"
-            ) from None
-        if not isinstance(event, dict):
-            raise ParameterError(
-                f"{path}:{lineno}: manifest line is not a JSON object")
-        events.append(event)
-    return events
-
-
 def validate_manifest(path: str | Path) -> list[dict[str, object]]:
     """Load and fully validate a manifest; return its events.
 
-    Checks, in order: the file parses as JSONL, the first event is a
-    ``manifest_start`` carrying a supported schema (``repro-obs/1``,
-    ``/2`` or ``/3``), every event validates against
-    :data:`REQUIRED_FIELDS` (unknown types fail; event types newer than
-    the declared schema version are rejected), and the last event is a
-    ``manifest_end`` whose ``events`` count matches the stream.  This
-    is the check the CI observability smoke step runs against a real
+    Checks, in order: the file parses as JSONL, every event validates
+    against :data:`REQUIRED_FIELDS` (unknown types fail), the first
+    event is a ``manifest_start`` carrying a supported schema
+    (``repro-obs/1``, ``/2`` or ``/3``), no event type is newer than the
+    declared schema version, and the last event is a ``manifest_end``
+    whose ``events`` count matches the stream.  This is
+    :func:`repro.obs.reader.load_manifest` with ``strict=True``, the
+    check the CI observability smoke step runs against a real
     ``--trace-out`` run.
     """
-    events = read_manifest(path)
-    if not events:
-        raise ParameterError(f"manifest {path} is empty")
-    for event in events:
-        validate_event(event)
-    first, last = events[0], events[-1]
-    if first["type"] != "manifest_start":
-        raise ParameterError(
-            f"manifest must open with manifest_start, got {first['type']!r}")
-    if first["schema"] not in SUPPORTED_SCHEMAS:
-        raise ParameterError(
-            f"unsupported manifest schema {first['schema']!r} "
-            f"(supported: {sorted(SUPPORTED_SCHEMAS)})")
-    too_new = disallowed_event_types(str(first["schema"]), events)
-    if too_new:
-        raise ParameterError(
-            f"manifest declares {first['schema']!r} but contains "
-            f"newer-schema event types {too_new}")
-    if last["type"] != "manifest_end":
-        raise ParameterError(
-            f"manifest must close with manifest_end, got {last['type']!r} "
-            f"(was the run interrupted?)")
-    if last["events"] != len(events):
-        raise ParameterError(
-            f"manifest_end reports {last['events']} events, stream has "
-            f"{len(events)}")
-    return events
+    from repro.obs.reader import load_manifest  # the reader imports us
+
+    return load_manifest(path, strict=True).events

@@ -66,6 +66,19 @@ class Gauge:
 #: Bounded reservoir size backing :meth:`Histogram.quantile`.
 _RESERVOIR_SIZE = 256
 
+
+def sorted_quantile(ordered: list[float], q: float) -> float:
+    """Linear-interpolation ``q``-quantile of an already-sorted list;
+    0.0 when it is empty."""
+    if len(ordered) < 2:
+        return ordered[0] if ordered else 0.0
+    position = q * (len(ordered) - 1)
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    frac = position - low
+    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+
+
 #: Knuth LCG constants for the deterministic reservoir index stream.
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
@@ -125,16 +138,7 @@ class Histogram:
         if not 0.0 <= q <= 1.0:
             raise ParameterError(
                 f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        ordered = sorted(self._reservoir)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = q * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        frac = position - low
-        return ordered[low] * (1.0 - frac) + ordered[high] * frac
+        return sorted_quantile(sorted(self._reservoir), q)
 
     def reset(self) -> None:
         """Return to the freshly-constructed state (name kept)."""

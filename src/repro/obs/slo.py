@@ -35,6 +35,7 @@ from collections import deque
 from typing import Callable
 
 from repro.exceptions import ParameterError
+from repro.obs.metrics import sorted_quantile
 
 __all__ = ["SLOTracker"]
 
@@ -42,19 +43,6 @@ __all__ = ["SLOTracker"]
 #: which quantiles describe "the most recent 2048 requests" — about the
 #: last 1–3 s at cache-hit rates (see module docstring).
 _DEFAULT_CAPACITY = 2048
-
-
-def _quantile(ordered: list[float], q: float) -> float:
-    """Linear-interpolation quantile of an already-sorted list."""
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    position = q * (len(ordered) - 1)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    frac = position - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
 class SLOTracker:
@@ -124,9 +112,9 @@ class SLOTracker:
             "requests": requests,
             "errors": errors,
             "error_rate": errors / requests if requests else 0.0,
-            "latency_p50": _quantile(latencies, 0.50),
-            "latency_p95": _quantile(latencies, 0.95),
-            "latency_p99": _quantile(latencies, 0.99),
+            "latency_p50": sorted_quantile(latencies, 0.50),
+            "latency_p95": sorted_quantile(latencies, 0.95),
+            "latency_p99": sorted_quantile(latencies, 0.99),
             "cache_hit_rate": hits / requests if requests else 0.0,
             "coalesce_ratio": coalesced / requests if requests else 0.0,
             "stack_ratio": stacked / misses if misses > 0 else 0.0,

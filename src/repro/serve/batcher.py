@@ -51,6 +51,7 @@ import time
 from concurrent.futures import Future
 from typing import Callable, Sequence
 
+from repro.exceptions import ServiceClosedError
 from repro.obs.trace import current_trace_ids, get_observer, tracing
 from repro.serve.cache import encode_result
 from repro.serve.spec import (
@@ -151,7 +152,7 @@ class MicroBatcher:
         a single stacked integration.
         """
         if self._closed.is_set():
-            raise RuntimeError("batcher is closed")
+            raise ServiceClosedError("batcher is closed")
         pending = PendingResult(spec)
         lane = self._solo if pending.batch_key is None else self._stacking
         lane.queue.put(pending)

@@ -15,7 +15,8 @@ in ``docs/SERVICE.md``):
   Any other body is read before the answer, an error or a ``404``
   included, so it is never parsed as the next request; a
   ``Content-Length`` that is not a number or is negative is answered
-  ``400`` and closes the connection.
+  ``400`` and closes the connection.  Once the service is closing, a
+  POST is answered ``503`` and the connection closes.
 * ``GET /scenario/<hash>`` — poll a submitted scenario: ``200`` with
   the result once cached, ``202`` while in flight, ``404`` otherwise.
 * ``GET /presets`` — the valid ``network`` preset names with their
@@ -66,7 +67,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
-from repro.exceptions import ParameterError, ReproError
+from repro.exceptions import ParameterError, ReproError, ServiceClosedError
 from repro.obs import log as obslog
 from repro.obs.trace import get_observer, new_trace_id, tracing
 from repro.serve.service import ScenarioService
@@ -235,6 +236,9 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
         try:
             with tracing(self._trace_id or ""):
                 response = self.server.service.query(spec)
+        except ServiceClosedError as error:
+            self._respond_closed(error)
+            return
         except ParameterError as error:
             self._respond_json(400, {"error": str(error)})
             return
@@ -255,8 +259,12 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
 
     def _submit_async(self, spec: ScenarioSpec) -> None:
         """Stage the spec and answer 202 with its poll path at once."""
-        with tracing(self._trace_id or ""):
-            self.server.service.submit(spec)
+        try:
+            with tracing(self._trace_id or ""):
+                self.server.service.submit(spec)
+        except ServiceClosedError as error:
+            self._respond_closed(error)
+            return
         spec_hash = spec.spec_hash()
         self._respond_json(202, {
             "spec_hash": spec_hash,
@@ -264,6 +272,14 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
             "status": "accepted",
             "poll": f"/scenario/{spec_hash}",
         })
+
+    def _respond_closed(self, error: ServiceClosedError) -> None:
+        """503 once the service is draining, as during the SIGTERM drain
+        for a request on a kept-alive connection; the connection closes,
+        so the client reconnects to whatever serves next."""
+        self.close_connection = True
+        self._respond_json(503, {"error": str(error),
+                                 "trace_id": self._trace_id})
 
     def _poll_scenario(self, spec_hash: str) -> None:
         if len(spec_hash) != _HASH_LEN or not all(

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Sequence
 
+from repro.exceptions import ServiceClosedError
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import get_observer
 from repro.serve.batcher import MicroBatcher, PendingResult
@@ -201,7 +202,7 @@ class ScenarioService:
         staged: list[tuple[str, str, object]] = []
         with self._lock:
             if self._closed:
-                raise RuntimeError("service is closed")
+                raise ServiceClosedError("service is closed")
             for spec in specs:
                 key = spec.spec_hash()
                 cached = self.cache.get(key, encoded=True)

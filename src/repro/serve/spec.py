@@ -45,7 +45,7 @@ import numpy as np
 from repro.core.batched import BatchedHeterogeneousSIR, stackable
 from repro.core.model import HeterogeneousSIRModel
 from repro.core.parameters import RumorModelParameters
-from repro.core.state import SIRState
+from repro.core.state import RumorTrajectory, SIRState
 from repro.core.threshold import (
     basic_reproduction_number,
     calibrate_acceptance_scale,
@@ -487,25 +487,29 @@ def _initial_state(params: RumorModelParameters,
     return SIRState.initial(params.n_groups, spec.initial_infected)
 
 
-def _trajectory_result(spec: ScenarioSpec, r0: float, t: np.ndarray,
-                       susceptible: np.ndarray, infected: np.ndarray,
-                       recovered: np.ndarray) -> dict[str, object]:
-    """The JSON-ready result payload of a fixed-policy scenario.
+def _trajectory_result(spec: ScenarioSpec, params: RumorModelParameters,
+                       trajectory: RumorTrajectory) -> dict[str, object]:
+    """The JSON-ready answer of a fixed-policy scenario, lone or stacked.
 
     Population densities only (the per-group matrices would be ~n× the
-    size); floats survive the JSON round trip exactly (shortest-repr),
-    so disk-cached results equal in-memory ones bit for bit.
+    size), each reduced with :class:`RumorTrajectory`'s 2-D matvec, so a
+    stacked row's answer is the lone one bit for bit; floats survive the
+    JSON round trip exactly (shortest-repr), so disk-cached results
+    equal in-memory ones bit for bit.
     """
+    r0 = basic_reproduction_number(params, spec.eps1, spec.eps2)
+    infected = trajectory.population_infected()
     return {
         "kind": "trajectory",
         "r0": float(r0),
         "verdict": "extinct" if r0 <= 1.0 else "spreading",
         "peak_infected": float(infected.max()),
         "final_infected": float(infected[-1]),
-        "t": [float(v) for v in t],
-        "susceptible": [float(v) for v in susceptible],
+        "t": [float(v) for v in trajectory.times],
+        "susceptible": [float(v)
+                        for v in trajectory.population_susceptible()],
         "infected": [float(v) for v in infected],
-        "recovered": [float(v) for v in recovered],
+        "recovered": [float(v) for v in trajectory.population_recovered()],
     }
 
 
@@ -552,11 +556,7 @@ def _run_heterogeneous_sir(spec: ScenarioSpec) -> dict[str, object]:
                                 t_final=spec.t_final, eps1=spec.eps1,
                                 eps2=spec.eps2, n_samples=spec.n_samples,
                                 method=spec.method)
-    r0 = basic_reproduction_number(params, spec.eps1, spec.eps2)
-    return _trajectory_result(spec, r0, trajectory.times,
-                              trajectory.population_susceptible(),
-                              trajectory.population_infected(),
-                              trajectory.population_recovered())
+    return _trajectory_result(spec, params, trajectory)
 
 
 def _run_heterogeneous_sir_batch(
@@ -598,20 +598,10 @@ def _run_heterogeneous_sir_batch(
     solution = batch.simulate(y0, t_final=first.t_final,
                               n_samples=first.n_samples,
                               method=first.method)
-    results = []
-    for j, (spec, params) in enumerate(zip(specs, params_list)):
-        # Slice the row out and reduce with RumorTrajectory's 2-D matvec
-        # — the exact operation of the scalar path — rather than the
-        # batched (m, B, n) contraction, whose different summation order
-        # would cost the fixed-grid rk4 path its bitwise identity.
-        trajectory = batch.trajectory(solution, j)
-        r0 = basic_reproduction_number(params, spec.eps1, spec.eps2)
-        results.append(_trajectory_result(
-            spec, r0, solution.t,
-            trajectory.population_susceptible(),
-            trajectory.population_infected(),
-            trajectory.population_recovered()))
-    return results
+    # Each row reduces as a lone trajectory, not through the batched
+    # (m, B, n) contraction, whose summation order differs.
+    return [_trajectory_result(spec, params, batch.trajectory(solution, j))
+            for j, (spec, params) in enumerate(zip(specs, params_list))]
 
 
 register_family(ModelFamily(

@@ -42,6 +42,14 @@ class TestParser:
             build_parser().parse_args(
                 ["experiment", "all", "--backend", "gpu"])
 
+    def test_experiment_rejects_vectorized_backend(self, capsys):
+        """The figure pipelines are not batch-capable sweeps: under the
+        vectorized executor they would run one after another."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["experiment", "all", "--backend", "vectorized"])
+        assert "invalid choice: 'vectorized'" in capsys.readouterr().err
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])

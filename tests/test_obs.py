@@ -19,7 +19,6 @@ from repro.exceptions import ParameterError
 from repro.obs.events import (
     EVENT_TYPES,
     OBS_SCHEMA,
-    read_manifest,
     validate_event,
     validate_manifest,
 )
@@ -33,6 +32,7 @@ from repro.obs.log import (
 from repro.obs.manifest import JsonlSink, MemorySink, NullSink
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.progress import ProgressAggregator, summary_text
+from repro.obs.reader import load_manifest
 from repro.obs.trace import (
     Observer,
     get_observer,
@@ -187,6 +187,11 @@ class TestMetrics:
 
 # -- sinks -----------------------------------------------------------------
 
+#: The framing event a manifest opens with, as the observer writes it.
+MANIFEST_START = {"type": "manifest_start", "t": 0.0, "schema": OBS_SCHEMA,
+                  "created_utc": "", "run": {}}
+
+
 class TestSinks:
     def test_memory_sink_collects_and_filters(self):
         sink = MemorySink()
@@ -201,19 +206,21 @@ class TestSinks:
     def test_jsonl_sink_writes_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         sink = JsonlSink(path)
+        sink.write(MANIFEST_START)
         sink.write({"type": "span", "t": 0.0, "name": "x", "seconds": 1.0})
         sink.close()
-        events = read_manifest(path)
-        assert events[0]["name"] == "x"
+        events = load_manifest(path).events
+        assert events[1]["name"] == "x"
 
     def test_jsonl_sink_serializes_numpy(self, tmp_path):
         np = pytest.importorskip("numpy")
         path = tmp_path / "trace.jsonl"
         sink = JsonlSink(path)
-        sink.write({"type": "span", "t": 0.0, "value": np.float64(2.5),
-                    "arr": np.arange(3)})
+        sink.write(MANIFEST_START)
+        sink.write({"type": "span", "t": 0.0, "name": "x", "seconds": 0.0,
+                    "value": np.float64(2.5), "arr": np.arange(3)})
         sink.close()
-        event = read_manifest(path)[0]
+        event = load_manifest(path).events[1]
         assert event["value"] == 2.5
         assert event["arr"] == [0, 1, 2]
 
@@ -336,9 +343,9 @@ class TestEventSchema:
         with pytest.raises(ParameterError, match="unknown event type"):
             validate_manifest(path)
 
-    def test_read_manifest_missing_file(self, tmp_path):
+    def test_validate_manifest_missing_file(self, tmp_path):
         with pytest.raises(ParameterError, match="not found"):
-            read_manifest(tmp_path / "absent.jsonl")
+            validate_manifest(tmp_path / "absent.jsonl")
 
 
 # -- logging ---------------------------------------------------------------

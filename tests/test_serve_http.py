@@ -730,6 +730,23 @@ class TestCliWiring:
 
 
 class TestGracefulShutdown:
+    @pytest.mark.parametrize("path", ["/scenario", "/scenario?mode=async"],
+                             ids=["sync", "async"])
+    def test_closing_service_answers_503(self, path):
+        """A POST that reaches a service already closing (as one on a
+        kept-alive connection does during the SIGTERM drain) is answered
+        503 and its connection closes, instead of being dropped."""
+        service = ScenarioService(window_seconds=0.005)
+        with live_server(service=service) as port:
+            service.close()
+            status, body, headers = request_full(
+                port, "POST", path, small_payload(),
+                headers={"X-Trace-Id": "closing-1"})
+        assert status == 503
+        assert body == {"error": "service is closed",
+                        "trace_id": "closing-1"}
+        assert headers["Connection"] == "close"
+
     def test_sigterm_drains_and_flushes_manifest(self, tmp_path):
         """`repro serve` killed with SIGTERM exits 0 with a complete,
         validatable manifest containing the served request spans."""
