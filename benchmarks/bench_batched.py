@@ -13,10 +13,12 @@ Two workloads are recorded:
 
 * ``digg_threshold_sweep`` — the full 848-group Digg2009-compatible
   network (1696 carried values per point).  A point costs the same
-  kernel work serial or stacked, so stacking saves only the per-call
-  Python cost around it.
+  kernel work serial or stacked; stacking saves the per-call Python
+  cost around it, and the kernel solves a chunk's rows on every CPU
+  the process may use.
 * ``cache_resident_sweep`` — a 30-group network, where that per-call
-  Python cost is a larger share of a point.
+  Python cost is a larger share of a point, and too small a one for
+  the kernel to start helper threads.
 
 Usage::
 
@@ -157,8 +159,9 @@ def run_benchmark(*, points: int = 64, chunk_size: int | None = None,
     derived["note"] = (
         "serial points and stacked rows run the same compiled System (1) "
         "kernel row by row, so metrics agree bit for bit up to the "
-        "population reductions' summation order; stacking saves only "
-        "the per-call Python cost around each solve"
+        "population reductions' summation order; stacking saves the "
+        "per-call Python cost around each solve and, from 64 groups, "
+        "solves a chunk's rows on every CPU the process may use"
     )
 
     if out is not None:

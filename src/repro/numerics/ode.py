@@ -234,13 +234,14 @@ def euler(f: RhsFunction, y0: Sequence[float] | np.ndarray,
     out = np.empty((grid.size, y.size))
     out[0] = y
     nfev = 0
-    for j in range(grid.size - 1):
-        t, t_next = grid[j], grid[j + 1]
-        h = (t_next - t) / substeps
-        for s in range(substeps):
-            y = y + h * f(t + s * h, y)
-            nfev += 1
-        out[j + 1] = y
+    with np.errstate(all="ignore"):     # a blow-up raises below
+        for j in range(grid.size - 1):
+            t, t_next = grid[j], grid[j + 1]
+            h = (t_next - t) / substeps
+            for s in range(substeps):
+                y = y + h * f(t + s * h, y)
+                nfev += 1
+            out[j + 1] = y
     _check_finite(out, "euler")
     stats = _fixed_step_stats(grid, substeps, nfev, 1,
                               time.perf_counter() - start)
@@ -265,18 +266,19 @@ def rk4(f: RhsFunction, y0: Sequence[float] | np.ndarray,
     out = np.empty((grid.size, y.size))
     out[0] = y
     nfev = 0
-    for j in range(grid.size - 1):
-        t, t_next = grid[j], grid[j + 1]
-        h = (t_next - t) / substeps
-        for s in range(substeps):
-            ts = t + s * h
-            k1 = f(ts, y)
-            k2 = f(ts + 0.5 * h, y + 0.5 * h * k1)
-            k3 = f(ts + 0.5 * h, y + 0.5 * h * k2)
-            k4 = f(ts + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            nfev += 4
-        out[j + 1] = y
+    with np.errstate(all="ignore"):     # a blow-up raises below
+        for j in range(grid.size - 1):
+            t, t_next = grid[j], grid[j + 1]
+            h = (t_next - t) / substeps
+            for s in range(substeps):
+                ts = t + s * h
+                k1 = f(ts, y)
+                k2 = f(ts + 0.5 * h, y + 0.5 * h * k1)
+                k3 = f(ts + 0.5 * h, y + 0.5 * h * k2)
+                k4 = f(ts + h, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                nfev += 4
+            out[j + 1] = y
     _check_finite(out, "rk4")
     stats = _fixed_step_stats(grid, substeps, nfev, 4,
                               time.perf_counter() - start)
@@ -374,8 +376,9 @@ def _dopri45_rows(solver: str, y0: np.ndarray, grid: np.ndarray, *,
     against ``slope()``, the caller's right-hand side at ``(grid[0],
     y0)``; otherwise row ``b`` runs :func:`_dopri45_loop` on the scalar
     right-hand side ``rhs_of_row(b)``.  NumPy's floating-point warnings
-    are silenced on both: a blow-up is reported by status.  Rows run in
-    order; a row that exhausts ``max_steps`` is counted and the later
+    are silenced on both: a blow-up is reported by status.  The loop runs
+    the rows in order, the kernel on every CPU it may use, with the same
+    outcome: a row that exhausts ``max_steps`` is counted and the later
     rows still run, and any other failure stops the solve.
 
     Returns the successful run, or raises what its status means (see

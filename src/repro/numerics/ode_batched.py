@@ -247,31 +247,32 @@ def rk4_batched(f: BatchedRhsFunction, y0: np.ndarray,
     k3 = np.empty_like(y)
     k4 = np.empty_like(y)
     stage = np.empty_like(y)
-    for j in range(grid.size - 1):
-        t, t_next = grid[j], grid[j + 1]
-        h = (t_next - t) / substeps
-        for s in range(substeps):
-            ts = t + s * h
-            # Mirrors the scalar update exactly: y_stage = y + (c·h)·k.
-            rhs(np.full(batch, ts), y, rows, k1)
-            np.multiply(k1, 0.5 * h, out=stage)
-            stage += y
-            rhs(np.full(batch, ts + 0.5 * h), stage, rows, k2)
-            np.multiply(k2, 0.5 * h, out=stage)
-            stage += y
-            rhs(np.full(batch, ts + 0.5 * h), stage, rows, k3)
-            np.multiply(k3, h, out=stage)
-            stage += y
-            rhs(np.full(batch, ts + h), stage, rows, k4)
-            # y ← y + (h/6)·(((k1 + 2·k2) + 2·k3) + k4), scalar order.
-            k2 *= 2.0
-            k2 += k1
-            k3 *= 2.0
-            k2 += k3
-            k2 += k4
-            k2 *= h / 6.0
-            y += k2
-        out[j + 1] = y
+    with np.errstate(all="ignore"):     # a blow-up raises below
+        for j in range(grid.size - 1):
+            t, t_next = grid[j], grid[j + 1]
+            h = (t_next - t) / substeps
+            for s in range(substeps):
+                ts = t + s * h
+                # Mirrors the scalar update exactly: y_stage = y + (c·h)·k.
+                rhs(np.full(batch, ts), y, rows, k1)
+                np.multiply(k1, 0.5 * h, out=stage)
+                stage += y
+                rhs(np.full(batch, ts + 0.5 * h), stage, rows, k2)
+                np.multiply(k2, 0.5 * h, out=stage)
+                stage += y
+                rhs(np.full(batch, ts + 0.5 * h), stage, rows, k3)
+                np.multiply(k3, h, out=stage)
+                stage += y
+                rhs(np.full(batch, ts + h), stage, rows, k4)
+                # y ← y + (h/6)·(((k1 + 2·k2) + 2·k3) + k4), scalar order.
+                k2 *= 2.0
+                k2 += k1
+                k3 *= 2.0
+                k2 += k3
+                k2 += k4
+                k2 *= h / 6.0
+                y += k2
+            out[j + 1] = y
     _check_finite(out, "rk4-batched")
     row = _fixed_step_stats(grid, substeps, 4 * (grid.size - 1) * substeps,
                             4, time.perf_counter() - start)
@@ -313,8 +314,10 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
     runs :func:`dopri45`'s Python loop on the full state, through
     ``f(t, y[None], rows_b)[0]``.
 
-    Rows run in order.  A row that exhausts ``max_steps`` is counted and
-    the later rows still run; any other failure stops the solve.
+    The kernel solves the rows on every CPU the process may use, the
+    Python loop one after another, and either reports what solving them
+    in order gives: a row that exhausts ``max_steps`` is counted and the
+    later rows still run; any other failure stops the solve.
     Raises :class:`~repro.exceptions.IntegrationError` naming the first
     offending batch row on step-size underflow, non-finite states, or
     step-budget exhaustion.

@@ -18,8 +18,11 @@
  * kernel's own, so constants that do not describe f are refused.
  *
  * Built by repro/numerics/system1.py with -O3 -fPIC -shared
- * -ffp-contract=off and called through ctypes.  The routine keeps no
- * state between calls: its one workspace is allocated per call.
+ * -ffp-contract=off -pthread and called through ctypes.  The routine
+ * keeps no state between calls: its workspace is allocated per call, and
+ * the POSIX threads that share its rows start with the call and are
+ * joined before it returns.  A row's arithmetic does not depend on the
+ * thread that runs it, so the answers do not depend on the thread count.
  *
  * At -O3 GCC vectorizes every per-group loop (the right-hand side, the
  * stage combinations, the error norm, the dense output, the first step)
@@ -31,6 +34,8 @@
  * check) stay scalar.
  */
 #include <math.h>
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -361,18 +366,77 @@ static int solve_row(const row_t *p, int64_t m, const double *grid,
     return status;
 }
 
+/* A row's outcome. */
+typedef struct {
+    int status;                 /* S1_* */
+    double where[2];            /* the (t, h) it ended at */
+} slot_t;
+
+/* One call's arguments, its rows' outcomes and the counters its workers
+ * share. */
+typedef struct {
+    int64_t n, rows, m, lam_stride, max_attempts;
+    const double *grid, *y0, *phi, *lam, *alpha, *eps1, *eps2, *slope;
+    double mean_degree, rtol, atol, h_init, h_max;
+    double *out, *h_lo, *h_hi;
+    int64_t *accepted, *rejected;
+    slot_t *slots;
+    atomic_int_fast64_t next;   /* the first row no worker has claimed */
+    atomic_int stopped;         /* a row failed other than by exhaustion */
+} call_t;
+
+typedef struct {
+    call_t *call;
+    double *work;               /* this worker's workspace */
+    pthread_t thread;
+    int started;                /* a helper whose thread is running */
+} worker_t;
+
+/* Claim and solve rows until none is left or one has failed other than
+ * by exhaustion.  A claimed row always runs, and rows are claimed in
+ * order, so every row before the first failing one runs. */
+static void *solve_rows(void *arg)
+{
+    const worker_t *w = arg;
+    call_t *c = w->call;
+    const int64_t n = c->n;
+    while (!atomic_load(&c->stopped)) {
+        const int64_t b = atomic_fetch_add(&c->next, 1);
+        if (b >= c->rows)
+            break;
+        const row_t p = {n, c->phi, c->lam + b * c->lam_stride,
+                         c->mean_degree, c->alpha[b], c->eps1[b], c->eps2[b]};
+        slot_t *slot = &c->slots[b];
+        slot->where[0] = slot->where[1] = 0.0;  /* a mismatch sets neither */
+        slot->status = solve_row(
+            &p, c->m, c->grid, c->y0 + b * 3 * n, c->rtol, c->atol,
+            c->slope == NULL ? NULL : c->slope + b * 3 * n, c->h_init,
+            c->h_max, c->max_attempts, c->out + b * 3 * n,
+            c->rows * 3 * n, w->work, c->accepted + b, c->rejected + b,
+            c->h_lo + b, c->h_hi + b, slot->where);
+        if (slot->status != S1_OK && slot->status != S1_EXHAUSTED)
+            atomic_store(&c->stopped, 1);
+    }
+    return NULL;
+}
+
 /*
- * Integrate `rows` rows of System (1) over grid[0..m-1].
+ * Integrate `rows` rows of System (1) over grid[0..m-1] on up to
+ * `threads` threads: the calling thread and helpers that each take the
+ * next unsolved row; a helper that cannot start leaves its rows to the
+ * others.
  *
  * y0 is (rows, 3n) [S | I | R]; lam is (n,) with lam_stride 0 or
  * (rows, n) with lam_stride n; alpha, eps1, eps2 are (rows,).  slope,
  * unless NULL, is the caller's (rows, 3n) f(t0, y0).  h_init <= 0
  * selects the first-step heuristic.  out is (m, rows, 3n); row 0 of the
  * grid receives y0 exactly.  accepted, rejected, h_lo and h_hi are
- * (rows,).  Rows run in order.  A row that exhausts its attempts is
- * counted in *stuck_rows and the rest still run; any other failure stops
- * the call.  The reported row — the failing one, else the first stuck
- * one — goes to *fail_row and its (t, h) to fail[0..1].
+ * (rows,).  The result is that of solving the rows in order on one
+ * thread: a row that exhausts its attempts is counted in *stuck_rows and
+ * the rest still run; any other failure stops the call, and the rows
+ * after it report no steps (h_lo inf, h_hi 0).  The reported row — the
+ * failing one, else the first stuck one — goes to *fail_row and its
+ * (t, h) to fail[0..1].
  */
 int64_t s1_dopri45(int64_t n, int64_t rows, int64_t m, const double *grid,
                    const double *y0, const double *phi, double mean_degree,
@@ -382,31 +446,56 @@ int64_t s1_dopri45(int64_t n, int64_t rows, int64_t m, const double *grid,
                    double h_init, double h_max, int64_t max_attempts,
                    double *out, int64_t *accepted, int64_t *rejected,
                    double *h_lo, double *h_hi, double *fail,
-                   int64_t *fail_row, int64_t *stuck_rows)
+                   int64_t *fail_row, int64_t *stuck_rows, int64_t threads)
 {
-    double *work = malloc(sizeof(double) * (size_t)(23 * n));
+    threads = threads < rows ? threads : rows;
+    threads = threads > 1 ? threads : 1;
+    /* One block: each worker's 23·n doubles, rounded up to whole cache
+     * lines so that every vector stays as aligned as malloc's, then the
+     * rows' slots and the workers. */
+    const int64_t stride = (23 * n + 7) / 8 * 8;
+    double *work = malloc(sizeof(double) * (size_t)(stride * threads)
+                          + sizeof(slot_t) * (size_t)rows
+                          + sizeof(worker_t) * (size_t)threads);
     if (work == NULL)
         return S1_NOMEMORY;
+    slot_t *slots = (slot_t *)(work + stride * threads);
+    worker_t *workers = (worker_t *)(slots + rows);
+    call_t call = {n, rows, m, lam_stride, max_attempts, grid, y0, phi,
+                   lam, alpha, eps1, eps2, slope, mean_degree, rtol, atol,
+                   h_init, h_max, out, h_lo, h_hi, accepted, rejected, slots,
+                   0, 0};
+    for (int64_t i = 0; i < threads; i++) {
+        workers[i] = (worker_t){.call = &call, .work = work + i * stride};
+        workers[i].started = i > 0 && pthread_create(
+            &workers[i].thread, NULL, solve_rows, &workers[i]) == 0;
+    }
+    solve_rows(&workers[0]);
+    for (int64_t i = 1; i < threads; i++)
+        if (workers[i].started)
+            pthread_join(workers[i].thread, NULL);
+
     int status = S1_OK;
+    int64_t b = 0;
     *stuck_rows = 0;
-    for (int64_t b = 0; b < rows; b++) {
-        const row_t p = {n, phi, lam + b * lam_stride, mean_degree,
-                         alpha[b], eps1[b], eps2[b]};
-        double where[2] = {0.0, 0.0};
-        const int row_status = solve_row(
-            &p, m, grid, y0 + b * 3 * n, rtol, atol,
-            slope == NULL ? NULL : slope + b * 3 * n, h_init, h_max,
-            max_attempts, out + b * 3 * n, rows * 3 * n, work,
-            accepted + b, rejected + b, h_lo + b, h_hi + b, where);
-        if (row_status == S1_OK
-            || (row_status == S1_EXHAUSTED && (*stuck_rows)++ > 0))
+    for (; b < rows; b++) {
+        const slot_t *slot = &slots[b];
+        if (slot->status == S1_OK
+            || (slot->status == S1_EXHAUSTED && (*stuck_rows)++ > 0))
             continue;
-        status = row_status;
+        status = slot->status;
         *fail_row = b;
-        fail[0] = where[0];
-        fail[1] = where[1];
+        fail[0] = slot->where[0];
+        fail[1] = slot->where[1];
         if (status != S1_EXHAUSTED)
             break;
+    }
+    /* The rows after a failure, which one thread would not have reached,
+     * report no steps whether or not a helper solved them. */
+    while (++b < rows) {
+        accepted[b] = rejected[b] = 0;
+        h_lo[b] = INFINITY;
+        h_hi[b] = 0.0;
     }
     free(work);
     return status;

@@ -4,7 +4,8 @@
 rebuilt as ``(total + α·(t − t0)) − S − I`` and kept in the error norm,
 under the control law of :func:`repro.numerics.ode.dopri45`.  Each row
 of a batch is its own integration, so a stacked row is bitwise equal to
-the same row alone.  :func:`~repro.numerics.ode.dopri45` and
+the same row alone, whichever thread solves it.
+:func:`~repro.numerics.ode.dopri45` and
 :func:`~repro.numerics.ode_batched.dopri45_batched` run it when passed
 ``system1=`` (a :class:`System1`).  They then call their right-hand
 side once, at ``t0``, and the kernel refuses constants whose slope
@@ -25,9 +26,13 @@ checkout compiles it once and later processes load it.  A build into
 flags; the user's cache, which other checkouts share, is never pruned.
 A directory that anyone but its owner, this user or root, can write is
 neither read nor written, so no other user can plant a library there.
-It is called through :mod:`ctypes`, which releases the GIL for the call;
-the kernel allocates its workspace per call, so concurrent calls share
-nothing mutable.
+It is called through :mod:`ctypes`, which releases the GIL for the call.
+:func:`run` solves a stack of B rows on ``min(B, CPUs)`` POSIX threads,
+the CPUs being those of the process's affinity mask, when the network
+has at least :data:`THREADED_GROUPS` degree groups, and on the calling
+thread otherwise.  The kernel allocates its workspace per call and joins
+its threads before it returns, so concurrent calls share nothing mutable
+and no thread outlives its call.
 Without a compiler, or when the build fails, :func:`library` logs one
 ``numerics.kernel_unavailable`` warning and returns ``None``, and the
 solvers integrate the full (S, I, R) state in
@@ -59,7 +64,14 @@ __all__ = ["System1", "KernelRun", "FLAGS", "library", "run",
            "OK", "UNDERFLOW", "NONFINITE", "EXHAUSTED", "MISMATCH"]
 
 SOURCE = Path(__file__).with_name("system1.c")
-FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
+
+#: Networks of fewer degree groups solve a stack on the calling thread:
+#: there a row takes about as long as starting a helper thread.  At B = 2
+#: on two CPUs, 8 groups lost ~30 us a call, 20-50 groups won or lost
+#: with the host's load, and 64 and 100 groups won in all but one run
+#: taken while the host was loaded.
+THREADED_GROUPS = 64
 
 #: Status codes of ``s1_dopri45`` (``S1_*`` in system1.c).
 OK, UNDERFLOW, NONFINITE, EXHAUSTED, NOMEMORY, MISMATCH = range(6)
@@ -96,10 +108,12 @@ class KernelRun(NamedTuple):
     Python loop.
 
     ``y`` is ``(m, B, 3n)``; the step counts and accepted-step ranges
-    are ``(B,)``.  When ``status`` is not :data:`OK`, row ``row`` failed
-    at time ``t`` with step ``h``.  ``stuck`` rows exhausted their
-    attempts: then ``row`` is the first of them unless a later row failed
-    otherwise, which stops the call.
+    are ``(B,)``.  Every field is what solving the rows in order would
+    give, however many threads solved them.  When ``status`` is not
+    :data:`OK`, row ``row`` failed at time ``t`` with step ``h``.
+    ``stuck`` rows exhausted their attempts: then ``row`` is the first of
+    them unless a later row failed otherwise, which stops the call; the
+    rows after it report no steps (``h_min`` inf, ``h_max`` 0).
     """
 
     y: np.ndarray
@@ -232,9 +246,17 @@ def _bind(path: Path) -> Callable[..., int]:
     routine.restype = i64
     routine.argtypes = [i64, i64, i64, ptr, ptr, ptr, f64, ptr, i64, ptr,
                         ptr, ptr, ptr, f64, f64, f64, f64, i64, ptr, ptr,
-                        ptr, ptr, ptr, ptr, ptr, ptr]
+                        ptr, ptr, ptr, ptr, ptr, ptr, i64]
     routine.path = str(path)
     return routine
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def run(system: System1, y0: np.ndarray, grid: np.ndarray, *,
@@ -245,8 +267,9 @@ def run(system: System1, y0: np.ndarray, grid: np.ndarray, *,
     ``slope``, unless ``None``, is the caller's ``(B, 3n)`` right-hand
     side at ``(grid[0], y0)``; a row whose slope is not the kernel's, up
     to rounding, fails with :data:`MISMATCH` before it integrates.
-    Every row gets at most ``max_attempts`` attempted steps.  Call only
-    when :func:`library` is not ``None``.
+    Every row gets at most ``max_attempts`` attempted steps.  The rows
+    run on ``min(B, CPUs)`` threads (see :data:`THREADED_GROUPS`), with
+    the answers of one.  Call only when :func:`library` is not ``None``.
     """
     routine = library()
     y0 = np.ascontiguousarray(y0, dtype=float)
@@ -282,7 +305,8 @@ def run(system: System1, y0: np.ndarray, grid: np.ndarray, *,
         rtol, atol, 0.0 if h_init is None else h_init, h_max,
         max_attempts, y.ctypes.data, accepted.ctypes.data,
         rejected.ctypes.data, h_min.ctypes.data, h_max_rows.ctypes.data,
-        fail.ctypes.data, ctypes.byref(fail_row), ctypes.byref(stuck))
+        fail.ctypes.data, ctypes.byref(fail_row), ctypes.byref(stuck),
+        1 if n < THREADED_GROUPS else min(rows, _cpus()))
     if status == NOMEMORY:
         raise MemoryError("System (1) kernel could not allocate its workspace")
     return KernelRun(y, accepted, rejected, h_min, h_max_rows, int(status),

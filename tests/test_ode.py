@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import IntegrationError, ParameterError
 from repro.numerics.ode import (
+    SOLVERS,
     OdeSolution,
     dopri45,
     euler,
@@ -18,6 +19,7 @@ from repro.numerics.ode import (
     rk4,
     solve_ivp_scipy,
 )
+from repro.numerics.ode_batched import rk4_batched
 
 
 def exponential_decay(_t: float, y: np.ndarray) -> np.ndarray:
@@ -148,6 +150,22 @@ class TestDopri45:
         sol = dopri45(lambda _t, y: -rate * y, [1.0],
                       np.linspace(0.0, 1.0, 11), rtol=1e-9, atol=1e-12)
         assert sol.final_state[0] == pytest.approx(math.exp(-rate), rel=1e-6)
+
+
+class TestFixedStepBlowup:
+    """A fixed-step blow-up raises, as dopri45's does, without a NumPy
+    warning on the way."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("solver", ["euler", "rk4", "rk4-batched"])
+    def test_raises_integration_error_without_warnings(self, solver: str):
+        grid = np.linspace(0.0, 2.0, 21)    # y' = y², y0 = 2: t = 0.5
+        with pytest.raises(IntegrationError,
+                           match=f"{solver} produced non-finite"):
+            if solver == "rk4-batched":
+                rk4_batched(lambda _t, y, _rows: y * y, [[2.0], [1.0]], grid)
+            else:
+                SOLVERS[solver](lambda _t, y: y * y, [2.0], grid)
 
 
 class TestScipyBackend:

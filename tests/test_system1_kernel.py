@@ -19,7 +19,10 @@ The contract under test (see ``repro.numerics.system1``):
   batch row, and trip and heal the integration alarm, solo and stacked;
 * ``max_steps`` is a budget of attempts on either engine: a solve that
   needs K attempts finishes with ``max_steps=K``;
-* concurrent solves, which run with the GIL released, equal serial ones.
+* concurrent solves, which run with the GIL released, equal serial ones;
+* a stacked call solves its rows on ``min(B, CPUs)`` threads, one below
+  ``THREADED_GROUPS`` groups, and its answers, step counts and failure
+  report are those of the one-thread call; no helper outlives its call.
 """
 
 from __future__ import annotations
@@ -279,9 +282,10 @@ def test_answers_do_not_depend_on_the_optimisation_level(monkeypatch,
                         "-fassociative-math"}
     assert not any(flag.startswith("-march") for flag in flags)
     unoptimised = tmp_path / "system1-O0.so"
-    subprocess.run([*system1._compiler(), "-O0", "-fPIC", "-shared",
-                    "-ffp-contract=off", "-o", str(unoptimised),
-                    str(system1.SOURCE), "-lm"],
+    subprocess.run([*system1._compiler(),
+                    *("-O0" if flag == "-O3" else flag
+                      for flag in system1.FLAGS),
+                    "-o", str(unoptimised), str(system1.SOURCE), "-lm"],
                    check=True, capture_output=True, timeout=300)
     from repro.datasets import synthesize_digg2009
     networks = [params_of(30),
@@ -525,3 +529,121 @@ def test_concurrent_solves_equal_serial_ones():
         thread.join(120.0)
     for got, want in zip(results, serial):
         assert np.array_equal(got, want)
+
+
+def digg2009_params() -> RumorModelParameters:
+    from repro.datasets import synthesize_digg2009
+    return RumorModelParameters(synthesize_digg2009().distribution)
+
+
+@kernel_required
+class TestThreads:
+    """A stacked call's rows on several threads: the one-thread call's
+    answers, step counts and failure report."""
+
+    @staticmethod
+    def force_cpus(monkeypatch, count: int) -> None:
+        monkeypatch.setattr(system1, "_cpus", lambda: count)
+
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    @pytest.mark.parametrize("network", ["digg2009", "30-groups"])
+    def test_rows_on_threads_equal_one_thread(self, monkeypatch, network,
+                                              rows):
+        if network == "digg2009":
+            params = digg2009_params()
+        else:
+            params = params_of(30)
+            monkeypatch.setattr(system1, "THREADED_GROUPS", 30)
+        batch = BatchedHeterogeneousSIR(params,
+                                        eps1=np.linspace(0.05, 0.4, rows),
+                                        eps2=np.linspace(0.2, 0.01, rows))
+        initial = SIRState.initial(params.n_groups, 0.01)
+        grid = np.linspace(0.0, 60.0, 61)
+        runs = []
+        for threads in (1, 2, 3):
+            self.force_cpus(monkeypatch, threads)
+            runs.append(batch.simulate(initial, t_eval=grid))
+        one = runs[0]
+        attempts = one.stats.accepted_rows + one.stats.rejected_rows
+        assert len(set(attempts.tolist())) > 1     # rows of unequal cost
+        for many in runs[1:]:
+            assert np.array_equal(many.y, one.y)
+            assert np.array_equal(many.stats.accepted_rows,
+                                  one.stats.accepted_rows)
+            assert np.array_equal(many.stats.rejected_rows,
+                                  one.stats.rejected_rows)
+
+    @pytest.mark.parametrize("groups, rows, cpus, threads", [
+        (64, 5, 2, 2), (64, 2, 3, 2), (64, 1, 2, 1), (63, 3, 2, 1)])
+    def test_thread_count(self, monkeypatch, groups, rows, cpus, threads):
+        """``min(rows, CPUs)`` threads, one below ``THREADED_GROUPS``."""
+        assert system1.THREADED_GROUPS == 64
+        routine, passed = system1.library(), []
+
+        def spy(*args):
+            passed.append(args[-1])
+            return routine(*args)
+        monkeypatch.setattr(system1, "_loaded", [spy])
+        self.force_cpus(monkeypatch, cpus)
+        BatchedHeterogeneousSIR(params_of(groups),
+                                eps1=np.linspace(0.1, 0.3, rows),
+                                eps2=0.05).simulate(
+            SIRState.initial(groups, 0.05), t_final=10.0)
+        assert passed == [threads]
+
+    def test_the_mask_bounds_the_threads(self):
+        assert system1._cpus() == len(os.sched_getaffinity(0))
+
+    N = 8
+    GOOD = SIRState.initial(N, 0.05).pack()
+    BAD = np.concatenate([np.full(N, 1e100), np.full(N, 0.5e100),
+                          GOOD[2 * N:]])     # non-finite at t = 0
+
+    #: rows, their eps1, the step budget and the one-thread report:
+    #: (status, row, stuck rows).
+    FAILURES = {
+        "nonfinite-before-stuck": ([BAD, GOOD], [0.1, 0.01], 40,
+                                   (system1.NONFINITE, 0, 0)),
+        "stuck-before-failing": ([GOOD, BAD], [0.01, 0.1], 40,
+                                 (system1.NONFINITE, 1, 1)),
+        "every-row-stuck": ([GOOD, GOOD, GOOD], [0.1, 0.2, 0.01], 3,
+                            (system1.EXHAUSTED, 0, 3)),
+        "failing-first-good-later": ([BAD, GOOD], [0.1, 0.1], 10**6,
+                                     (system1.NONFINITE, 0, 0)),
+    }
+
+    @pytest.mark.parametrize("case", list(FAILURES))
+    def test_failures_merge_as_on_one_thread(self, monkeypatch, case):
+        """Every field but ``y``, which a failed call leaves partly
+        written and never returns."""
+        y0, eps1, budget, report = self.FAILURES[case]
+        model = HeterogeneousSIRModel(params_of(self.N))
+        rows = len(y0)
+        constants = system1.System1(
+            model._phi, model._mean_degree, model._lam,
+            np.full(rows, model._alpha), np.asarray(eps1), np.full(rows, 0.05))
+        monkeypatch.setattr(system1, "THREADED_GROUPS", self.N)
+        runs = []
+        for threads in (1, 2, 3):
+            self.force_cpus(monkeypatch, threads)
+            run = system1.run(constants, np.stack(y0),
+                              np.linspace(0.0, 10.0, 11), slope=None,
+                              rtol=1e-8, atol=1e-10, h_init=1.0, h_max=10.0,
+                              max_attempts=budget)
+            runs.append(run._replace(y=None))
+        assert (runs[0].status, runs[0].row, runs[0].stuck) == report
+        for many in runs[1:]:
+            for field, want, got in zip(runs[0]._fields, runs[0], many):
+                assert np.array_equal(got, want), field
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs Linux's /proc/self/task")
+    def test_no_helper_outlives_its_call(self, monkeypatch):
+        params = digg2009_params()
+        batch = BatchedHeterogeneousSIR(params, eps1=[0.1, 0.2, 0.3],
+                                        eps2=0.05)
+        self.force_cpus(monkeypatch, 3)
+        before = len(os.listdir("/proc/self/task"))
+        batch.simulate(SIRState.initial(params.n_groups, 0.01),
+                       t_final=60.0, n_samples=61)
+        assert len(os.listdir("/proc/self/task")) == before
