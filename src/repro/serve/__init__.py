@@ -19,8 +19,11 @@ long-running, cache-backed, micro-batched service:
 * :mod:`repro.serve.service` — :class:`ScenarioService`, the cache +
   in-flight dedupe + batcher pipeline behind every entry point;
 * :mod:`repro.serve.http` — the zero-dependency HTTP daemon
-  (``repro serve``) with ``/scenario``, ``/presets``, ``/healthz`` and
-  ``/metrics`` endpoints and graceful SIGTERM/SIGINT drain.
+  (``repro serve``): one ``selectors`` loop thread that parses every
+  request, answers cache hits and every GET route inline and writes
+  each miss's answer when its integration completes, with
+  ``/scenario``, ``/presets``, ``/healthz`` and ``/metrics`` endpoints
+  and graceful SIGTERM/SIGINT drain.
 
 Protocol and semantics are documented in ``docs/SERVICE.md``.
 """

@@ -1,8 +1,12 @@
 """``ScenarioService``: cache → in-flight dedupe → micro-batcher.
 
-The service is the single pipeline every entry point (HTTP handler, CLI,
-:func:`repro.analysis.sweep.scenario_sweep`) pushes queries through.
-Per query, under one lock:
+The service is the single pipeline every entry point (the HTTP front
+end, the CLI, :func:`repro.analysis.sweep.scenario_sweep`) pushes
+queries through.  A query is staged (:meth:`ScenarioService.stage`),
+then answered (:meth:`ScenarioService.answer`) once its result is
+there: :meth:`~ScenarioService.query_many` waits for it in between,
+while the daemon's loop thread answers from the miss's done-callback,
+so no thread waits.  Staging, per spec, under one lock:
 
 1. **cache** — a completed result under the spec hash answers
    immediately (``cache="hit"``);
@@ -19,9 +23,10 @@ Per query, under one lock:
 
 Every miss is finished in one place, ``_complete``, which stores the
 result's bytes and then drops the in-flight entry.  It runs when the
-miss completes, whether or not anyone still waits, and in the owner
-once its wait returns, so the owner's answer is a cache hit for the
-next query.  A waiter that gives up does not stop the integration.
+miss completes, whether or not anyone still waits, and again when
+:meth:`~ScenarioService.answer` answers the owner, so the owner's answer
+is a cache hit for the next query.  A waiter that gives up does not
+stop the integration.
 
 Every response carries the result's JSON bytes, encoded once when the
 integration completed; its ``result`` dict is decoded from them only
@@ -158,33 +163,14 @@ class ScenarioService:
         started = time.perf_counter()
         responses: list[ScenarioResponse] = []
         first_error: BaseException | None = None
-        for key, status, payload in self._stage(specs):
-            if status == "hit":
-                responses.append(self._respond(key, payload, "hit", False,
-                                               started))
-                continue
-            error: BaseException | None = None
+        for key, status, payload in self.stage(specs):
+            if status != "hit":
+                futures.wait((payload,), timeout)
             try:
-                body = payload.result(timeout)
-            except futures.TimeoutError:
-                # Not the built-in TimeoutError before Python 3.11.
-                error = TimeoutError(f"scenario {short_hash(key)} not "
-                                     f"answered within {timeout}s")
-            except BaseException as exc:
-                error = exc
-            if status == "miss" and payload.done():
-                # Stored before answering, so the next query hits.
-                self._complete(key, payload)
-            if error is None:
-                responses.append(self._respond(key, body, status,
-                                               payload.stacked, started))
-                continue
-            self.slo.record(time.perf_counter() - started, error=True)
-            observer = get_observer()
-            if observer is not None:
-                observer.metrics.inc("serve.errors")
-            if first_error is None:
-                first_error = error
+                responses.append(self.answer(key, status, payload, started))
+            except BaseException as error:
+                if first_error is None:
+                    first_error = error
         if first_error is not None:
             raise first_error
         return responses
@@ -193,12 +179,13 @@ class ScenarioService:
         """Stage a spec without waiting: a miss is integrated and cached
         whether or not anyone asks again.  It counts as a cache hit or
         miss, but as no request, since it answers nothing."""
-        self._stage([spec])
+        self.stage([spec])
 
-    def _stage(self, specs: Sequence[ScenarioSpec]
-               ) -> list[tuple[str, str, object]]:
+    def stage(self, specs: Sequence[ScenarioSpec]
+              ) -> list[tuple[str, str, object]]:
         """``(key, "hit", body)``, ``(key, "coalesced", future)`` or
-        ``(key, "miss", future)`` for each spec, in order."""
+        ``(key, "miss", future)`` for each spec, in order; pass each to
+        :meth:`answer` once its future is done (or its wait ran out)."""
         staged: list[tuple[str, str, object]] = []
         with self._lock:
             if self._closed:
@@ -226,6 +213,45 @@ class ScenarioService:
                 pending.add_done_callback(partial(self._complete, key))
         return staged
 
+    def answer(self, key: str, status: str, payload: object,
+               started: float) -> ScenarioResponse:
+        """Answer one spec :meth:`stage` returned, or raise its error.
+
+        ``payload`` is a hit's bytes or a future; a future not yet done
+        means its wait ran out, which raises :class:`TimeoutError`.  A
+        completed miss is stored before it is answered, so the next
+        query hits.  Either way the answer is recorded against the SLO
+        and the request metrics, timed from ``started``.
+        """
+        if status == "hit":
+            body, stacked, error = payload, False, None
+        elif not payload.done():
+            error = TimeoutError(
+                f"scenario {short_hash(key)} not answered within "
+                f"{time.perf_counter() - started:.3g}s")
+        else:
+            if status == "miss":
+                self._complete(key, payload)
+            error = payload.exception()
+            if error is None:
+                body, stacked = payload.result(), payload.stacked
+        seconds = time.perf_counter() - started
+        observer = get_observer()
+        if error is not None:
+            self.slo.record(seconds, error=True)
+            if observer is not None:
+                observer.metrics.inc("serve.errors")
+            raise error
+        self.slo.record(seconds, cache_hit=status == "hit",
+                        coalesced=status == "coalesced", stacked=stacked)
+        if observer is not None:
+            observer.emit("span", name="serve.request", seconds=seconds,
+                          spec=short_hash(key), cache=status,
+                          stacked=stacked)
+            observer.metrics.inc("serve.requests")
+            observer.metrics.observe("serve.request.seconds", seconds)
+        return ScenarioResponse(key, body, status, stacked, seconds)
+
     def _complete(self, key: str, pending: PendingResult) -> None:
         """Store a completed miss's bytes (not a failure's), then drop
         its in-flight entry if it still holds this future; idempotent."""
@@ -239,20 +265,6 @@ class ScenarioService:
         """Whether an integration for a spec hash is in flight."""
         with self._lock:
             return key in self._inflight
-
-    def _respond(self, key: str, body: bytes, status: str,
-                 stacked: bool, started: float) -> ScenarioResponse:
-        seconds = time.perf_counter() - started
-        self.slo.record(seconds, cache_hit=status == "hit",
-                        coalesced=status == "coalesced", stacked=stacked)
-        observer = get_observer()
-        if observer is not None:
-            observer.emit("span", name="serve.request", seconds=seconds,
-                          spec=short_hash(key), cache=status,
-                          stacked=stacked)
-            observer.metrics.inc("serve.requests")
-            observer.metrics.observe("serve.request.seconds", seconds)
-        return ScenarioResponse(key, body, status, stacked, seconds)
 
     # -- health/SLO --------------------------------------------------------
     def slo_snapshot(self) -> dict[str, float | int]:

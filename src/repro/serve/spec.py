@@ -75,6 +75,11 @@ _METHODS = ("dopri45", "rk4")
 #: Network kinds a spec may carry.
 _NETWORK_KINDS = ("preset", "power_law", "explicit")
 
+#: Most degree groups an explicit network may list.  The largest preset,
+#: ``twitter_like``, has 5,000; parsing and hashing a table of 10,000
+#: takes about 15 ms, and the daemon's one loop thread waits for it.
+_MAX_EXPLICIT_GROUPS = 10_000
+
 #: Spec fields that vary per row inside one stacked integration; every
 #: other field must match for two specs to share a batch
 #: (see :meth:`ScenarioSpec.batch_key`).
@@ -233,12 +238,18 @@ def _normalize_network(network: object) -> dict[str, object]:
     if kind == "explicit":
         _reject_unknown("network", network, ("kind", "degrees", "pmf"))
         try:
-            degrees = [float(v) for v in network["degrees"]]
-            pmf = [float(v) for v in network["pmf"]]
+            degrees, pmf = network["degrees"], network["pmf"]
         except KeyError as exc:
             raise ParameterError(
                 f"explicit network is missing field {exc.args[0]!r}"
             ) from None
+        groups = max(len(degrees), len(pmf))
+        if groups > _MAX_EXPLICIT_GROUPS:
+            raise ParameterError(
+                f"explicit network has {groups} degree groups; the limit "
+                f"is {_MAX_EXPLICIT_GROUPS}")
+        degrees = [float(v) for v in degrees]
+        pmf = [float(v) for v in pmf]
         # Full distribution validation happens at resolve time; here we
         # only pin the canonical value types.
         return {"kind": "explicit", "degrees": degrees, "pmf": pmf}

@@ -10,6 +10,7 @@ subprocess, mirroring the durability tests in test_obs_resources.py.
 from __future__ import annotations
 
 import contextlib
+import errno
 import http.client
 import io
 import json
@@ -400,6 +401,188 @@ class TestUnreadBody:
             assert "connection" not in headers
             assert second == 200
             assert json.loads(body)["status"] == "ok"
+
+
+def post_bytes(payload: dict, trace_id: str | None = None) -> bytes:
+    """A complete ``POST /scenario`` request, as it goes on the wire."""
+    body = json.dumps(payload).encode()
+    head = (f"POST /scenario HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {len(body)}\r\n")
+    if trace_id is not None:
+        head += f"X-Trace-Id: {trace_id}\r\n"
+    return head.encode() + b"\r\n" + body
+
+
+def timed_hit(port: int, payload: dict) -> float:
+    """Seconds one POST of an already cached spec takes."""
+    started = time.monotonic()
+    status, body = request(port, "POST", "/scenario", payload)
+    assert (status, body["cache"]) == (200, "hit")
+    return time.monotonic() - started
+
+
+class TestLoop:
+    """What the one loop thread must never do: wait on one client, or
+    let one client's requests crowd out another's."""
+
+    def test_a_stalled_head_does_not_delay_others(self):
+        with live_server(window_seconds=0.005) as port:
+            request(port, "POST", "/scenario", small_payload())
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as stalled:
+                whole = post_bytes(small_payload())
+                stalled.sendall(whole[:20])
+                time.sleep(0.05)
+                assert timed_hit(port, small_payload()) < 1.0
+                stalled.sendall(whole[20:])
+                with stalled.makefile("rb") as stream:
+                    status, _headers, body = read_response(stream)
+        assert status == 200
+        assert json.loads(body)["cache"] == "hit"
+
+    def test_a_request_sent_one_byte_per_send_is_answered(self):
+        whole = post_bytes(small_payload(), trace_id="bytewise-1")
+        with live_server(window_seconds=0.005) as port:
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for offset in range(len(whole)):
+                    sock.send(whole[offset:offset + 1])
+                    if offset % 16 == 0:
+                        time.sleep(0.001)
+                with sock.makefile("rb") as stream:
+                    status, headers, body = read_response(stream)
+        assert status == 200
+        assert headers["x-trace-id"] == "bytewise-1"
+        assert json.loads(body)["result"]["kind"] == "trajectory"
+
+    def test_a_client_that_never_reads_delays_no_one(self):
+        """Hundreds of pipelined hits whose 25 kB answers are never
+        read: the daemon stops reading that connection once its answers
+        back up (so the client's sends stall), and serves others as
+        fast as before."""
+        payload = small_payload(n_samples=401)
+        whole = post_bytes(payload)
+        with live_server(window_seconds=0.005) as port:
+            request(port, "POST", "/scenario", payload)
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=0.5) as greedy:
+                sent = 0
+                with pytest.raises(TimeoutError):
+                    for _ in range(100_000):  # 30 MB if all were read
+                        greedy.sendall(whole)
+                        sent += 1
+                assert sent >= 200
+                trips = [timed_hit(port, payload) for _ in range(5)]
+        assert max(trips) < 1.0, trips
+
+    def test_a_pipelined_miss_and_hit_are_answered_in_order(self):
+        cached, fresh = small_payload(eps1=0.41), small_payload(eps1=0.42)
+        with live_server(window_seconds=0.005) as port:
+            request(port, "POST", "/scenario", cached)
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=30) as sock:
+                sock.sendall(post_bytes(fresh) + post_bytes(cached))
+                with sock.makefile("rb") as stream:
+                    answers = [read_response(stream) for _ in range(2)]
+        assert [status for status, _, _ in answers] == [200, 200]
+        assert [json.loads(body)["cache"] for _, _, body in answers] == [
+            "miss", "hit"]
+
+    @pytest.mark.parametrize("head", [
+        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (70 * 1024) + b"\r\n",
+        b"GET /healthz HTTP/1.1\r\n" + b"".join(
+            b"X-Line-%d: 1\r\n" % i for i in range(101)),
+    ], ids=["over-64-kib", "over-100-lines"])
+    def test_an_oversized_head_is_refused_and_closed(self, head):
+        with live_server() as port:
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as sock:
+                sock.sendall(head + b"\r\n")
+                with sock.makefile("rb") as stream:
+                    status, headers, body = read_response(stream)
+                    assert stream.read() == b""     # the server closed it
+                assert request(port, "GET", "/healthz")[0] == 200
+        assert status == 431
+        assert headers["connection"] == "close"
+        assert "error" in json.loads(body)
+
+    def test_a_100_continue_is_sent_before_a_body_below_the_limit(self):
+        body = json.dumps(small_payload()).encode()
+        with live_server(window_seconds=0.005) as port:
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=30) as sock:
+                sock.sendall(b"POST /scenario HTTP/1.1\r\nHost: test\r\n"
+                             b"Expect: 100-continue\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(body))
+                with sock.makefile("rb") as stream:
+                    assert stream.readline() == b"HTTP/1.1 100 Continue\r\n"
+                    assert stream.readline() == b"\r\n"
+                    sock.sendall(body)
+                    status, _headers, answer = read_response(stream)
+        assert status == 200
+        assert json.loads(answer)["cache"] == "miss"
+
+    def test_open_connections_start_no_thread(self):
+        with live_server() as port:
+            idle = len(threading.enumerate())
+            conns = [http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+                     for _ in range(50)]
+            try:
+                for conn in conns:
+                    conn.request("GET", "/healthz")
+                    assert conn.getresponse().read()
+                busy = len(threading.enumerate())
+            finally:
+                for conn in conns:
+                    conn.close()
+        assert busy == idle
+
+    def test_a_connection_over_the_cap_is_answered_429(self, monkeypatch):
+        import repro.serve.http
+
+        monkeypatch.setattr(repro.serve.http, "MAX_CONNECTIONS", 2)
+        with live_server() as port:
+            served = [http.client.HTTPConnection("127.0.0.1", port,
+                                                 timeout=10)
+                      for _ in range(2)]
+            try:
+                for conn in served:
+                    conn.request("GET", "/healthz")
+                    assert conn.getresponse().read()
+                status, body, headers = request_full(port, "GET", "/healthz")
+                for conn in served:
+                    conn.request("GET", "/healthz")
+                    assert conn.getresponse().status == 200
+            finally:
+                for conn in served:
+                    conn.close()
+        assert status == 429
+        assert headers["Retry-After"] == "1"
+        assert headers["Connection"] == "close"
+        assert "too many open connections" in body["error"]
+
+    def test_a_failing_accept_pauses_the_listener(self, monkeypatch):
+        """Out of descriptors, the listener stays readable: the loop
+        must wait for a free one instead of retrying at once."""
+        calls = []
+        accept = socket.socket.accept
+
+        def failing(self):
+            calls.append(time.monotonic())
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        with live_server() as port:
+            monkeypatch.setattr(socket.socket, "accept", failing)
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as sock:
+                time.sleep(0.5)
+                monkeypatch.setattr(socket.socket, "accept", accept)
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+                with sock.makefile("rb") as stream:
+                    status, _headers, _body = read_response(stream)
+        assert status == 200
+        assert 1 <= len(calls) <= 20, len(calls)
 
 
 class TestControlLane:

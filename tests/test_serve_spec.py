@@ -264,6 +264,19 @@ class TestResolution:
                                 "pmf": [0.5, 0.3, 0.2]})
         assert np.array_equal(dist.degrees, [1.0, 2.0, 3.0])
 
+    def test_explicit_network_group_limit(self):
+        """10,000 degree groups are accepted; one more is refused before
+        any entry is converted, with a message naming the limit."""
+        degrees = list(range(1, 10_001))
+        pmf = [1e-4] * 10_000
+        spec = ScenarioSpec(network={"kind": "explicit", "degrees": degrees,
+                                     "pmf": pmf})
+        assert len(spec.network["degrees"]) == 10_000
+        with pytest.raises(ParameterError, match="limit is 10000"):
+            ScenarioSpec(network={"kind": "explicit",
+                                  "degrees": degrees + ["not a number"],
+                                  "pmf": pmf + [1e-4]})
+
     def test_unknown_preset_rejected_at_resolve(self):
         with pytest.raises(ParameterError, match="unknown preset"):
             resolve_network({"kind": "preset", "name": "nope"})
